@@ -20,12 +20,8 @@
 // deterministic (events, packets, peak storage); only the wall-clock
 // readings vary between machines.
 //
-// Both event-queue implementations (binary heap and calendar queue) are
-// measured back to back, on identical seeds, so the JSON doubles as the
-// queue-selection study.
-//
-//   bench_engine [--out FILE] [--seconds N] [--flows N] [--queue heap|calendar|both]
-//                [--threads LIST] [--profile FILE] [--baseline FILE]
+//   bench_engine [--out FILE] [--seconds N] [--flows N] [--threads LIST]
+//                [--profile FILE] [--baseline FILE]
 //   VINI_SMOKE=1 shrinks the run for CI gating.
 //
 // --threads LIST is a comma-separated sweep of engine worker counts
@@ -46,9 +42,11 @@
 //
 // --baseline FILE compares this run's events/s against a checked-in
 // BENCH_engine.json from an earlier commit and fails on a >15%
-// regression per (queue implementation, thread count) — the
-// perf-trajectory gate.  Skipped under VINI_SMOKE (smoke runs are too
-// short to be stable).
+// regression per thread count — the perf-trajectory gate.  Baselines
+// written before the queue had a single implementation carry a
+// queue_impl per row; only their "heap" rows (the surviving queue)
+// count.  Skipped under VINI_SMOKE (smoke runs are too short to be
+// stable).
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -69,7 +67,6 @@ using namespace vini;
 namespace {
 
 struct RunResult {
-  std::string queue_impl;
   int threads = 0;
   double speedup_vs_1t = 0.0;  // filled post-hoc when a 1-thread run ran
   std::uint64_t events = 0;
@@ -100,24 +97,22 @@ std::uint64_t totalTxPackets(const topo::World& world) {
   return total;
 }
 
-/// One measured run: build the Abilene mirror on the chosen queue
-/// implementation, converge the overlay (not timed — we measure the
-/// steady-state hot path, not setup), then saturate and time it.
+/// One measured run: build the Abilene mirror, converge the overlay (not
+/// timed — we measure the steady-state hot path, not setup), then
+/// saturate and time it.
 /// `profile_out`, when non-empty, attaches the parallelism profiler to
 /// the measured window and writes its PROFILE_report.json there (the
 /// profiler is passive, but kept off plain timing runs so the
 /// introspection hook never clouds the wall numbers).
-RunResult runOnce(sim::QueueImpl impl, int threads, int flows, int seconds,
+RunResult runOnce(int threads, int flows, int seconds,
                   const std::string& profile_out = {},
                   obs::ParallelismProfiler::Report* report_out = nullptr) {
   RunResult result;
-  result.queue_impl = sim::queueImplName(impl);
   result.threads = threads;
 
   topo::WorldOptions options;
   options.seed = 4711;
   options.contention = 0.0;  // quiescent nodes: the engine is the subject
-  options.queue_impl = impl;
   options.threads = threads;
   auto world = topo::makeAbileneWorld(options);
   if (!world->runUntilConverged(180 * sim::kSecond)) {
@@ -189,9 +184,8 @@ RunResult runOnce(sim::QueueImpl impl, int threads, int flows, int seconds,
   return result;
 }
 
-/// One baseline entry: (queue_impl, threads) -> events/s.
+/// One baseline entry: threads -> events/s.
 struct BaselineEntry {
-  std::string impl;
   int threads = 0;
   double events_per_sec = 0.0;
 };
@@ -200,7 +194,8 @@ struct BaselineEntry {
 /// wrote.  A full JSON parser is overkill for our own fixed format: scan
 /// for the keys line by line.  Schema v1 files carry no "threads" key;
 /// their entries read as threads = 0 (the classic engine), which is what
-/// they measured.
+/// they measured.  Rows whose queue_impl is not "heap" measured a queue
+/// that no longer exists and are skipped.
 std::vector<BaselineEntry> parseBaseline(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -210,8 +205,8 @@ std::vector<BaselineEntry> parseBaseline(const std::string& path) {
   }
   std::vector<BaselineEntry> result;
   std::string line;
-  std::string impl;
   int threads = 0;
+  bool other_queue = false;
   auto fieldTail = [&line](const char* key) -> const char* {
     const std::size_t pos = line.find(key);
     return pos == std::string::npos ? nullptr : line.c_str() + pos +
@@ -219,28 +214,20 @@ std::vector<BaselineEntry> parseBaseline(const std::string& path) {
   };
   while (std::getline(in, line)) {
     if (const char* v = fieldTail("\"queue_impl\": \"")) {
-      impl.assign(v, std::strcspn(v, "\""));
-      threads = 0;
+      other_queue = std::strncmp(v, "heap\"", 5) != 0;
     } else if (const char* v = fieldTail("\"threads\": ")) {
       threads = std::atoi(v);
     } else if (const char* v = fieldTail("\"events_per_sec\": ")) {
-      if (impl.empty()) {
-        std::fprintf(stderr,
-                     "bench_engine: malformed baseline %s "
-                     "(events_per_sec before queue_impl)\n",
-                     path.c_str());
-        std::exit(2);
-      }
-      result.push_back({impl, threads, std::strtod(v, nullptr)});
-      impl.clear();
+      if (!other_queue) result.push_back({threads, std::strtod(v, nullptr)});
+      threads = 0;  // the next row starts afresh
+      other_queue = false;
     }
   }
   return result;
 }
 
-/// The perf-trajectory gate: fail when any (queue implementation,
-/// thread count) pair's events/s fell more than 15% below the
-/// checked-in baseline.
+/// The perf-trajectory gate: fail when any thread count's events/s fell
+/// more than 15% below the checked-in baseline.
 int checkBaseline(const std::string& path, const std::vector<RunResult>& runs) {
   constexpr double kMaxRegression = 0.15;
   const auto baseline = parseBaseline(path);
@@ -248,26 +235,24 @@ int checkBaseline(const std::string& path, const std::vector<RunResult>& runs) {
   for (const RunResult& r : runs) {
     double base = 0.0;
     for (const BaselineEntry& b : baseline) {
-      if (b.impl == r.queue_impl && b.threads == r.threads) {
+      if (b.threads == r.threads) {
         base = b.events_per_sec;
       }
     }
     if (base <= 0.0) {
-      std::printf("  perf gate: no baseline entry for queue=%s threads=%d, "
-                  "skipping\n",
-                  r.queue_impl.c_str(), r.threads);
+      std::printf("  perf gate: no baseline entry for threads=%d, skipping\n",
+                  r.threads);
       continue;
     }
     const double ratio = r.eventsPerSec() / base;
-    std::printf("  perf gate: queue=%-8s threads=%d %12.0f events/s vs "
+    std::printf("  perf gate: threads=%d %12.0f events/s vs "
                 "baseline %12.0f (%+.1f%%)\n",
-                r.queue_impl.c_str(), r.threads, r.eventsPerSec(), base,
-                100.0 * (ratio - 1.0));
+                r.threads, r.eventsPerSec(), base, 100.0 * (ratio - 1.0));
     if (ratio < 1.0 - kMaxRegression) {
       std::fprintf(stderr,
-                   "bench_engine: PERF REGRESSION: queue=%s threads=%d "
+                   "bench_engine: PERF REGRESSION: threads=%d "
                    "dropped %.1f%% below baseline (limit %.0f%%)\n",
-                   r.queue_impl.c_str(), r.threads, 100.0 * (1.0 - ratio),
+                   r.threads, 100.0 * (1.0 - ratio),
                    100.0 * kMaxRegression);
       ++failures;
     }
@@ -280,7 +265,6 @@ void writeRunJson(std::ofstream& out, const RunResult& r, bool last) {
   std::snprintf(
       buf, sizeof(buf),
       "    {\n"
-      "      \"queue_impl\": \"%s\",\n"
       "      \"threads\": %d,\n"
       "      \"events\": %llu,\n"
       "      \"events_per_sec\": %.0f,\n"
@@ -293,8 +277,7 @@ void writeRunJson(std::ofstream& out, const RunResult& r, bool last) {
       "      \"peak_pending_events\": %llu,\n"
       "      \"peak_event_storage\": %llu\n"
       "    }%s\n",
-      r.queue_impl.c_str(), r.threads,
-      static_cast<unsigned long long>(r.events), r.eventsPerSec(),
+      r.threads, static_cast<unsigned long long>(r.events), r.eventsPerSec(),
       r.speedup_vs_1t, static_cast<unsigned long long>(r.sim_packets),
       r.packetsPerSec(), r.sim_seconds, r.wall_seconds, r.simWallRatio(),
       static_cast<unsigned long long>(r.peak_pending),
@@ -307,7 +290,6 @@ void writeRunJson(std::ofstream& out, const RunResult& r, bool last) {
 int main(int argc, char** argv) {
   const bool smoke = std::getenv("VINI_SMOKE") != nullptr;
   std::string out_path = "BENCH_engine.json";
-  std::string queue_arg = "both";
   std::string threads_arg = smoke ? "0,2" : "0,1,2,4,8";
   std::string profile_path;
   std::string baseline_path;
@@ -329,8 +311,6 @@ int main(int argc, char** argv) {
       seconds = std::atoi(v);
     } else if (const char* v = value("--flows")) {
       flows = std::atoi(v);
-    } else if (const char* v = value("--queue")) {
-      queue_arg = v;
     } else if (const char* v = value("--threads")) {
       threads_arg = v;
     } else if (const char* v = value("--profile")) {
@@ -340,8 +320,8 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: bench_engine [--out FILE] [--seconds N] "
-                   "[--flows N] [--queue heap|calendar|both] "
-                   "[--threads LIST] [--profile FILE] [--baseline FILE]\n");
+                   "[--flows N] [--threads LIST] [--profile FILE] "
+                   "[--baseline FILE]\n");
       return 2;
     }
   }
@@ -368,47 +348,30 @@ int main(int argc, char** argv) {
 
   bench::header("Engine throughput: Abilene-11 under saturating iperf",
                 "the substrate itself (ROADMAP item 1)");
-  std::vector<sim::QueueImpl> impls;
-  if (queue_arg == "heap" || queue_arg == "both") {
-    impls.push_back(sim::QueueImpl::kHeap);
-  }
-  if (queue_arg == "calendar" || queue_arg == "both") {
-    impls.push_back(sim::QueueImpl::kCalendar);
-  }
-  if (impls.empty()) {
-    std::fprintf(stderr, "bench_engine: unknown --queue '%s'\n",
-                 queue_arg.c_str());
-    return 2;
-  }
-
   std::vector<RunResult> runs;
-  for (const sim::QueueImpl impl : impls) {
-    for (const int threads : thread_counts) {
-      RunResult r = runOnce(impl, threads, flows, seconds);
-      std::printf(
-          "\n  queue=%-8s threads=%d %9.2f s sim in %6.2f s wall "
-          "(ratio %6.2f)\n"
-          "    events        %12llu   (%.0f events/s)\n"
-          "    sim packets   %12llu   (%.0f packets/s)\n"
-          "    peak pending  %12llu   peak storage %llu\n",
-          r.queue_impl.c_str(), r.threads, r.sim_seconds, r.wall_seconds,
-          r.simWallRatio(), static_cast<unsigned long long>(r.events),
-          r.eventsPerSec(), static_cast<unsigned long long>(r.sim_packets),
-          r.packetsPerSec(), static_cast<unsigned long long>(r.peak_pending),
-          static_cast<unsigned long long>(r.peak_storage));
-      runs.push_back(std::move(r));
-    }
+  for (const int threads : thread_counts) {
+    RunResult r = runOnce(threads, flows, seconds);
+    std::printf(
+        "\n  threads=%d %9.2f s sim in %6.2f s wall (ratio %6.2f)\n"
+        "    events        %12llu   (%.0f events/s)\n"
+        "    sim packets   %12llu   (%.0f packets/s)\n"
+        "    peak pending  %12llu   peak storage %llu\n",
+        r.threads, r.sim_seconds, r.wall_seconds, r.simWallRatio(),
+        static_cast<unsigned long long>(r.events), r.eventsPerSec(),
+        static_cast<unsigned long long>(r.sim_packets), r.packetsPerSec(),
+        static_cast<unsigned long long>(r.peak_pending),
+        static_cast<unsigned long long>(r.peak_storage));
+    runs.push_back(std::move(r));
   }
 
-  // Parallel speedup, measured against the same implementation's
-  // 1-thread run — the sharded engine's own serial schedule, so the
-  // ratio isolates the parallelism (threads = 0 is a different event
-  // order and not a fair denominator).
+  // Parallel speedup, measured against the 1-thread run — the sharded
+  // engine's own serial schedule, so the ratio isolates the parallelism
+  // (threads = 0 is a different event order and not a fair
+  // denominator).
   for (RunResult& r : runs) {
     if (r.threads < 1) continue;
     for (const RunResult& ref : runs) {
-      if (ref.queue_impl == r.queue_impl && ref.threads == 1 &&
-          ref.eventsPerSec() > 0) {
+      if (ref.threads == 1 && ref.eventsPerSec() > 0) {
         r.speedup_vs_1t = r.eventsPerSec() / ref.eventsPerSec();
       }
     }
@@ -418,8 +381,7 @@ int main(int argc, char** argv) {
   // introspection hook never touches the timed ones.
   obs::ParallelismProfiler::Report profile_report;
   if (!profile_path.empty()) {
-    runOnce(impls[0], /*threads=*/0, flows, seconds, profile_path,
-            &profile_report);
+    runOnce(/*threads=*/0, flows, seconds, profile_path, &profile_report);
   }
 
   std::ofstream out(out_path);
@@ -438,16 +400,13 @@ int main(int argc, char** argv) {
   std::printf("\n  [results written to %s]\n", out_path.c_str());
 
   // Consistency gate, not a perf gate: the *simulation* must not depend
-  // on engine internals.  Classic runs (threads = 0) must agree with
-  // each other across queue implementations, and sharded runs (threads
-  // >= 1) must agree with each other across queue implementations AND
-  // thread counts.  (Classic and sharded are different — but each
+  // on the thread count.  Sharded runs (threads >= 1) must agree with
+  // each other.  (Classic and sharded are different — but each
   // individually deterministic — event orders; see DESIGN.md.)  Wall
   // time is the only column allowed to differ.
-  const RunResult* classic_ref = nullptr;
-  const RunResult* sharded_ref = nullptr;
+  const RunResult* ref = nullptr;
   for (const RunResult& r : runs) {
-    const RunResult*& ref = r.threads == 0 ? classic_ref : sharded_ref;
+    if (r.threads == 0) continue;
     if (!ref) {
       ref = &r;
       continue;
@@ -455,12 +414,12 @@ int main(int argc, char** argv) {
     if (r.events != ref->events || r.sim_packets != ref->sim_packets) {
       std::fprintf(stderr,
                    "bench_engine: runs diverged "
-                   "(%s/t%d: %llu events / %llu packets, "
-                   "%s/t%d: %llu / %llu)\n",
-                   ref->queue_impl.c_str(), ref->threads,
+                   "(t%d: %llu events / %llu packets, "
+                   "t%d: %llu / %llu)\n",
+                   ref->threads,
                    static_cast<unsigned long long>(ref->events),
                    static_cast<unsigned long long>(ref->sim_packets),
-                   r.queue_impl.c_str(), r.threads,
+                   r.threads,
                    static_cast<unsigned long long>(r.events),
                    static_cast<unsigned long long>(r.sim_packets));
       return 1;
@@ -477,15 +436,15 @@ int main(int argc, char** argv) {
       for (const auto& pred : profile_report.predictions) {
         if (pred.shards != r.threads || pred.predicted_speedup <= 0) continue;
         const double frac = r.speedup_vs_1t / pred.predicted_speedup;
-        std::printf("  scaling: queue=%-8s threads=%d measured %.2fx vs "
+        std::printf("  scaling: threads=%d measured %.2fx vs "
                     "predicted %.2fx (%.0f%%)\n",
-                    r.queue_impl.c_str(), r.threads, r.speedup_vs_1t,
+                    r.threads, r.speedup_vs_1t,
                     pred.predicted_speedup, 100.0 * frac);
         if (frac < 0.5) {
           std::fprintf(stderr,
-                       "bench_engine: WARNING: queue=%s threads=%d reached "
+                       "bench_engine: WARNING: threads=%d reached "
                        "only %.0f%% of the predicted %.2fx speedup\n",
-                       r.queue_impl.c_str(), r.threads, 100.0 * frac,
+                       r.threads, 100.0 * frac,
                        pred.predicted_speedup);
         }
       }
@@ -500,9 +459,9 @@ int main(int argc, char** argv) {
     for (const RunResult& r : runs) {
       if (r.threads >= 4 && r.speedup_vs_1t > 0 && r.speedup_vs_1t < 1.5) {
         std::fprintf(stderr,
-                     "bench_engine: SCALING REGRESSION: queue=%s threads=%d "
+                     "bench_engine: SCALING REGRESSION: threads=%d "
                      "speedup %.2fx < 1.5x over the 1-thread run\n",
-                     r.queue_impl.c_str(), r.threads, r.speedup_vs_1t);
+                     r.threads, r.speedup_vs_1t);
         return 1;
       }
     }

@@ -4,6 +4,7 @@
 // queue, and RIB churn.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -91,6 +92,39 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+/// Hold-model event: on firing, re-schedules itself a pseudo-random
+/// 1 ns..1 ms ahead (xorshift64), so the pending population stays
+/// constant and every step pops one key and pushes one.
+struct HoldEvent {
+  vini::sim::EventQueue* q;
+  std::uint64_t* rng;
+  void operator()() const {
+    std::uint64_t x = *rng;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *rng = x;
+    q->schedule(q->now() + 1 + static_cast<vini::sim::Duration>(x % 1000000),
+                HoldEvent{q, rng});
+  }
+};
+
+void BM_EventQueueHold(benchmark::State& state) {
+  // The classic hold model: range(0) pending events, each handler
+  // re-arming itself.  Unlike BM_EventQueueScheduleRun (schedule all,
+  // then drain) every step here schedules from inside its handler —
+  // the fused pop/push path the simulations actually take.
+  vini::sim::EventQueue q;
+  std::uint64_t rng = 0x9E3779B97F4A7C15ull;
+  for (std::int64_t i = 0; i < state.range(0); ++i) HoldEvent{&q, &rng}();
+  for (auto _ : state) {
+    for (int i = 0; i < 1024; ++i) q.step();
+    benchmark::DoNotOptimize(q.now());
+  }
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_EventQueueHold)->Arg(64)->Arg(1024);
 
 void BM_InternetChecksum(benchmark::State& state) {
   std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)), 0xAB);

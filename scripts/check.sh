@@ -23,11 +23,10 @@
 #      be byte-identical (spans, timeline, series, and the Chrome trace
 #      JSON), and a validate pass over the JSON (well-formedness plus
 #      per-track timestamp monotonicity)
-#   5d. engine throughput bench smoke: bench_engine runs both queue
-#      implementations (its internal gate fails unless they simulate
-#      identical event/packet counts) and writes BENCH_engine.json;
-#      then a same-seed vini_timeline export under --queue heap and
-#      --queue calendar must be byte-identical file for file
+#   5d. engine throughput bench smoke: bench_engine runs the classic and
+#      sharded engines (its internal gate fails unless every sharded
+#      thread count simulates identical event/packet counts) and writes
+#      BENCH_engine.json
 #   5e. live-migration chaos smoke: a seeded campaign with the migrate
 #      verb enabled (spare substrate node, V130-V133 audits) must pass
 #      and print byte-identical reports and migration JSON across two
@@ -39,16 +38,20 @@
 #      drivers of the same seeded scenario).  PROFILE_report.json is a
 #      CI artifact
 #   5g. perf-trajectory gate: a fresh full-fidelity bench_engine run is
-#      compared against the checked-in BENCH_engine.json; events/s more
-#      than 15% below baseline fails.  The binary self-skips the
-#      comparison under VINI_SMOKE (smoke runs are too short to be
-#      stable), so exporting VINI_SMOKE=1 before check.sh skips it
+#      compared against the heap rows of the checked-in
+#      BENCH_engine.json; events/s more than 15% below baseline fails.
+#      The binary self-skips the comparison under VINI_SMOKE (smoke runs
+#      are too short to be stable), so exporting VINI_SMOKE=1 before
+#      check.sh skips it
 #   5h. sharded-engine determinism gate: the canned vini_timeline
 #      scenario is exported under the parallel engine at 1, 2, and 8
-#      worker threads on both queue implementations, and every export
-#      (Chrome JSON, spans/timeline/series CSV) must be byte-identical
-#      to the 1-thread reference — thread count must never leak into
-#      results
+#      worker threads, and every export (Chrome JSON, spans/timeline/
+#      series CSV) must be byte-identical to the 1-thread reference —
+#      thread count must never leak into results
+#   5i. simulator benchmark self-test: simbench/run.py --self-test runs
+#      every workload smoke-sized and fails unless each output check
+#      passes (Table 2 within 10% of the paper, UDP delivery, OSPF churn
+#      reconvergence, rep-to-rep digest equality)
 #   6. clang-tidy over src/ and tools/ (skipped when not installed)
 #   7. full ctest suite under AddressSanitizer and UBSan builds, with
 #      the runtime shard-ownership check armed (-DVINI_SHARD_CHECK=ON)
@@ -131,27 +134,12 @@ for EXT in json spans.csv timeline.csv series.csv; do
 done
 ./build-check/tools/vini_timeline validate build-check/timeline-run-1.json
 
-# --- 5d. Engine throughput bench + cross-queue determinism -------------------
-# bench_engine saturates the Abilene mirror with iperf traffic under
-# both event-queue implementations and exits nonzero if they disagree
-# on events executed or packets simulated.  The export diff then proves
-# the stronger property end to end: heap and calendar queues produce
-# byte-identical observability artifacts, not just identical counts.
-stage "bench_engine smoke (VINI_SMOKE=1, --queue both) + heap/calendar export diff"
-(cd build-check && VINI_SMOKE=1 ./bench/bench_engine --queue both \
-  --out BENCH_engine.json)
-# Full fidelity (no VINI_SMOKE): the diff covers the complete canned
-# scenario, failover and all.
-for IMPL in heap calendar; do
-  (cd build-check && ./tools/vini_timeline export --seed 811 \
-    --queue "$IMPL" --out "timeline-$IMPL" > /dev/null)
-done
-for EXT in json spans.csv timeline.csv series.csv; do
-  diff "build-check/timeline-heap.$EXT" "build-check/timeline-calendar.$EXT" || {
-    echo "vini_timeline: heap and calendar queues diverge ($EXT)"
-    exit 1
-  }
-done
+# --- 5d. Engine throughput bench smoke ---------------------------------------
+# bench_engine saturates the Abilene mirror with iperf traffic under the
+# classic and sharded engines and exits nonzero if the sharded thread
+# counts disagree on events executed or packets simulated.
+stage "bench_engine smoke (VINI_SMOKE=1)"
+(cd build-check && VINI_SMOKE=1 ./bench/bench_engine --out BENCH_engine.json)
 
 # --- 5e. Live-migration chaos smoke ------------------------------------------
 # A seeded chaos campaign with live migrations enabled (spare substrate
@@ -185,7 +173,7 @@ stage "vini_profile (self-test + double-run diff + bench_engine --profile diff)"
   --out profile-run-2.json > /dev/null)
 diff build-check/PROFILE_report.json build-check/profile-run-2.json || {
   echo "vini_profile: seed 4711 report is not bit-reproducible"; exit 1; }
-(cd build-check && VINI_SMOKE=1 ./bench/bench_engine --queue heap \
+(cd build-check && VINI_SMOKE=1 ./bench/bench_engine \
   --out bench-profile.json --profile profile-bench.json > /dev/null)
 diff build-check/PROFILE_report.json build-check/profile-bench.json || {
   echo "vini_profile vs bench_engine --profile: same seed, different report"
@@ -195,43 +183,38 @@ diff build-check/PROFILE_report.json build-check/profile-bench.json || {
 # --- 5g. Perf-trajectory gate -------------------------------------------------
 # Compare a fresh full-fidelity run against the checked-in baseline;
 # bench_engine exits nonzero when events/s regresses more than 15%.
+# Only the baseline's heap rows count: its calendar rows measured a
+# queue that no longer exists.
 # Under VINI_SMOKE (exported by the caller) the binary self-skips the
 # comparison, so smoke invocations of this script stay fast and stable.
 stage "bench_engine --baseline BENCH_engine.json (>15% events/s regression fails)"
-(cd build-check && ./bench/bench_engine --queue both \
+(cd build-check && ./bench/bench_engine \
   --baseline ../BENCH_engine.json --out BENCH_engine.json)
 
 # --- 5h. Sharded-engine determinism gate -------------------------------------
 # The parallel engine's contract: same seed => byte-identical exports
 # for every worker count.  threads=1 runs the sharded schedule serially
-# and is the reference; 2 and 8 must reproduce it exactly on both queue
-# implementations, and the two implementations must agree with each
-# other under sharding too.
+# and is the reference; 2 and 8 must reproduce it exactly.
 stage "vini_timeline --threads {1,2,8} export diff (sharded determinism)"
-for IMPL in heap calendar; do
-  for T in 1 2 8; do
-    (cd build-check && VINI_SMOKE=1 ./tools/vini_timeline export --seed 811 \
-      --queue "$IMPL" --threads "$T" --out "timeline-$IMPL-t$T" > /dev/null)
+for T in 1 2 8; do
+  (cd build-check && VINI_SMOKE=1 ./tools/vini_timeline export --seed 811 \
+    --threads "$T" --out "timeline-t$T" > /dev/null)
+done
+for T in 2 8; do
+  for EXT in json spans.csv timeline.csv series.csv; do
+    diff "build-check/timeline-t1.$EXT" "build-check/timeline-t$T.$EXT" || {
+      echo "vini_timeline: export diverges at $T threads ($EXT)"
+      exit 1
+    }
   done
 done
-for IMPL in heap calendar; do
-  for T in 2 8; do
-    for EXT in json spans.csv timeline.csv series.csv; do
-      diff "build-check/timeline-$IMPL-t1.$EXT" \
-           "build-check/timeline-$IMPL-t$T.$EXT" || {
-        echo "vini_timeline: $IMPL queue diverges at $T threads ($EXT)"
-        exit 1
-      }
-    done
-  done
-done
-for EXT in json spans.csv timeline.csv series.csv; do
-  diff "build-check/timeline-heap-t1.$EXT" \
-       "build-check/timeline-calendar-t1.$EXT" || {
-    echo "vini_timeline: heap/calendar diverge under the sharded engine ($EXT)"
-    exit 1
-  }
-done
+
+# --- 5i. Simulator benchmark self-test ---------------------------------------
+# Runs the four simbench workloads smoke-sized through the default
+# engine; every output check gates: Table 2 within 10% of the paper,
+# UDP delivery, churn reconvergence, and equal digests across reps.
+stage "simbench --self-test (workload output checks)"
+python3 simbench/run.py --self-test > /dev/null
 
 # --- 6. clang-tidy -----------------------------------------------------------
 stage "clang-tidy"

@@ -551,9 +551,13 @@ void doRegisterStandardElements() {
     return std::make_unique<Napt>(ctx, packet::IpAddress::mustParse(args[0]));
   });
   reg.registerClass("Shaper", [](const auto& args, ClickContext& ctx) {
-    if (args.size() < 2) throw std::runtime_error("Shaper(rate_bps, bucket_bytes)");
-    return std::make_unique<Shaper>(ctx, std::stod(args[0]),
-                                    static_cast<std::size_t>(std::stoul(args[1])));
+    if (args.size() < 2 || args.size() > 3) {
+      throw std::runtime_error("Shaper(rate_bps, bucket_bytes[, queue_bytes])");
+    }
+    const std::size_t queue_bytes =
+        args.size() == 3 ? std::stoul(args[2]) : Shaper::kDefaultQueueBytes;
+    return std::make_unique<Shaper>(ctx, std::stod(args[0]), std::stoul(args[1]),
+                                    queue_bytes);
   });
   reg.registerClass("DropFilter", [](const auto& args, ClickContext&) {
     auto filter = std::make_unique<DropFilter>();

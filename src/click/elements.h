@@ -256,8 +256,10 @@ class Napt final : public Element {
 /// Click").
 class Shaper final : public Element {
  public:
+  static constexpr std::size_t kDefaultQueueBytes = 256 * 1024;
+
   Shaper(ClickContext& context, double rate_bps, std::size_t bucket_bytes,
-         std::size_t queue_bytes = 256 * 1024);
+         std::size_t queue_bytes = kDefaultQueueBytes);
   std::string className() const override { return "Shaper"; }
   void push(int input_port, packet::Packet p) override;
 

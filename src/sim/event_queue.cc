@@ -1,6 +1,5 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <string>
@@ -11,31 +10,13 @@
 
 namespace vini::sim {
 
-namespace {
-
-/// Starting bucket count for the calendar; grows/shrinks with load.
-constexpr std::size_t kCalMinBuckets = 16;
-
-}  // namespace
-
 thread_local EventQueue::ShardWorkerCtx EventQueue::worker_ctx_;
 
-const char* queueImplName(QueueImpl impl) {
-  return impl == QueueImpl::kHeap ? "heap" : "calendar";
-}
+EventQueue::EventQueue() : EventQueue(0) {}
 
-EventQueue::EventQueue() : EventQueue(QueueImpl::kHeap) {}
-
-EventQueue::EventQueue(QueueImpl impl) : impl_(impl) {
+EventQueue::EventQueue(int threads)
+    : shard_threads_(threads > 0 ? threads : 0) {
   shard_.assertHeld();
-  if (impl_ == QueueImpl::kCalendar) {
-    cal_buckets_.resize(kCalMinBuckets);
-    calResetScan(0);
-  }
-}
-
-EventQueue::EventQueue(QueueImpl impl, int threads) : EventQueue(impl) {
-  shard_threads_ = threads > 0 ? threads : 0;
 }
 
 EventQueue::~EventQueue() {
@@ -170,18 +151,19 @@ EventId EventQueue::schedule(Time when, const char* tag, NodeTag node,
   slots_[slot].sched_at = now_;
   slots_[slot].node = node;
   slots_[slot].sched_from = exec_node_;
-  const Key key{when, id};
-  if (impl_ == QueueImpl::kHeap) {
-    heap_.push_back(key);
-    heapSiftUp(heap_.size() - 1);
+  const Key key = Key::make(when, id);
+  if (fired_at_root_) {
+    // Replace-top: the fired key still at the root gives way to this
+    // one, one sift-down instead of the deferred pop plus a push.
+    fired_at_root_ = false;
+    heap_[0] = key;
+    heapSiftDown(0);
   } else {
-    calInsert(key);
+    heapPush(key);
   }
   ++live_;
   if (live_ > peak_pending_) peak_pending_ = live_;
-  const std::size_t storage =
-      impl_ == QueueImpl::kHeap ? heap_.size() : cal_count_;
-  if (storage > peak_storage_) peak_storage_ = storage;
+  if (heapSize() > peak_storage_) peak_storage_ = heapSize();
   return id;
 }
 
@@ -237,22 +219,17 @@ bool EventQueue::cancelMain(EventId id, bool audit) {
 }
 
 void EventQueue::maybeCompact() {
-  const std::size_t storage =
-      impl_ == QueueImpl::kHeap ? heap_.size() : cal_count_;
-  if (dead_keys_ * 2 <= storage) return;
+  if (dead_keys_ * 2 <= storageCount()) return;
   // Tombstones outnumber live keys: rebuild without them.  Removal
   // cannot change pop order — (when, id) is a total order, so any heap
-  // arrangement of the surviving keys pops identically.
-  if (impl_ == QueueImpl::kHeap) {
-    std::erase_if(heap_, [this](const Key& k) { return !keyLive(k); });
-    heapRebuild();
-  } else {
-    for (auto& bucket : cal_buckets_) {
-      const std::size_t before = bucket.size();
-      std::erase_if(bucket, [this](const Key& k) { return !keyLive(k); });
-      cal_count_ -= before - bucket.size();
-    }
-  }
+  // arrangement of the surviving keys pops identically.  A fired key
+  // awaiting its deferred pop is dead too (its slot was released), so
+  // the same sweep settles it.
+  fired_at_root_ = false;
+  heap_.resize(heapSize());
+  std::erase_if(heap_, [this](const Key& k) { return !keyLive(k); });
+  heap_.insert(heap_.end(), kHeapPad, kSentinel);
+  heapRebuild();
   dead_keys_ = 0;
 }
 
@@ -264,174 +241,107 @@ void EventQueue::maybeCompact() {
 // Pops always extract the exact (when, id) minimum, so heap arity is
 // invisible to the simulation.
 
+namespace {
+
+/// The earliest of four adjacent keys.  Two compares pick the winner of
+/// each pair, a third picks between the winners; each result selects a
+/// pointer (a conditional move), not a jump, so a sift-down costs no
+/// mispredicted branch per level however the keys fall.
+template <typename Key>
+const Key* minOfFour(const Key* c) {
+  const Key* a = c + (c[1].packed < c[0].packed);
+  const Key* b = c + 2 + (c[3].packed < c[2].packed);
+  return b->packed < a->packed ? b : a;
+}
+
+}  // namespace
+
+void EventQueue::heapPush(Key k) {
+  const std::size_t i = heapSize();
+  heap_.push_back(kSentinel);  // keeps kHeapPad sentinels after key i
+  heap_[i] = k;
+  heapSiftUp(i);
+}
+
+void EventQueue::heapPopTop() {
+  const std::size_t last = heapSize() - 1;
+  heap_[0] = heap_[last];
+  heap_[last] = kSentinel;
+  heap_.pop_back();
+  heapSiftDown(0);
+}
+
 void EventQueue::heapSiftUp(std::size_t i) {
-  const Key k = heap_[i];
+  Key* h = heap_.data();
+  const Key k = h[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!keyEarlier(k, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    if (!(k.packed < h[parent].packed)) break;
+    h[i] = h[parent];
     i = parent;
   }
-  heap_[i] = k;
+  h[i] = k;
 }
 
 void EventQueue::heapSiftDown(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const Key k = heap_[i];
+  const std::size_t n = heapSize();
+  Key* h = heap_.data();
+  const Key k = h[i];
   for (;;) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
-    const std::size_t last = std::min(first + 4, n);
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (keyEarlier(heap_[c], heap_[best])) best = c;
-    }
-    if (!keyEarlier(heap_[best], k)) break;
-    heap_[i] = heap_[best];
-    i = best;
+    // Children past the last key are sentinels, so all four compare.
+    const Key* best = minOfFour(h + first);
+    if (!(best->packed < k.packed)) break;
+    h[i] = *best;
+    i = static_cast<std::size_t>(best - h);
   }
-  heap_[i] = k;
+  h[i] = k;
 }
 
 void EventQueue::heapRebuild() {
-  if (heap_.size() < 2) return;
+  if (heapSize() < 2) return;
   // Floyd: sift internal nodes down, deepest first.
-  for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) {
+  for (std::size_t i = (heapSize() - 2) / 4 + 1; i-- > 0;) {
     heapSiftDown(i);
   }
 }
 
-// -- Calendar queue -----------------------------------------------------------
-
-void EventQueue::calResetScan(Time t) {
-  const auto idx =
-      static_cast<std::uint64_t>(t) / static_cast<std::uint64_t>(cal_width_);
-  cal_bucket_ = static_cast<std::size_t>(idx % cal_buckets_.size());
-  cal_top_ = static_cast<Time>(idx + 1) * cal_width_;
-}
-
-void EventQueue::calInsert(const Key& k) {
-  // An insert behind the scan position (possible because the scan sits
-  // wherever the last pop left it) rewinds the scan to the new event.
-  if (cal_count_ == 0 || k.when < cal_top_ - cal_width_) calResetScan(k.when);
-  const auto idx = static_cast<std::uint64_t>(k.when) /
-                   static_cast<std::uint64_t>(cal_width_);
-  auto& bucket = cal_buckets_[static_cast<std::size_t>(idx % cal_buckets_.size())];
-  bucket.insert(
-      std::upper_bound(bucket.begin(), bucket.end(), k,
-                       [](const Key& a, const Key& b) { return keyEarlier(a, b); }),
-      k);
-  ++cal_count_;
-  calMaybeResize();
-}
-
-const EventQueue::Key* EventQueue::calPeek() {
-  if (cal_count_ == 0) return nullptr;
-  const std::size_t n = cal_buckets_.size();
-  // Walk year windows from the scan position.  A bucket's front is its
-  // earliest key; it wins iff it falls inside the current window
-  // (events in the same window always share a bucket, so the first hit
-  // is the global minimum).
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& bucket = cal_buckets_[cal_bucket_];
-    if (!bucket.empty() && bucket.front().when < cal_top_) {
-      return &bucket.front();
-    }
-    cal_bucket_ = (cal_bucket_ + 1) % n;
-    cal_top_ += cal_width_;
-  }
-  // A whole year without a hit (sparse far-future events): direct-search
-  // the minimum and jump the scan to it.
-  const Key* min = nullptr;
-  for (const auto& bucket : cal_buckets_) {
-    if (!bucket.empty() && (min == nullptr || keyEarlier(bucket.front(), *min))) {
-      min = &bucket.front();
-    }
-  }
-  calResetScan(min->when);  // min's bucket becomes the scan bucket
-  return min;
-}
-
-void EventQueue::calMaybeResize() {
-  const std::size_t n = cal_buckets_.size();
-  if (cal_count_ > 2 * n) {
-    calRebuild(2 * n);
-  } else if (n > kCalMinBuckets && cal_count_ * 4 < n) {
-    calRebuild(n / 2);
-  }
-}
-
-void EventQueue::calRebuild(std::size_t nbuckets) {
-  std::vector<Key> all;
-  all.reserve(cal_count_);
-  for (auto& bucket : cal_buckets_) {
-    all.insert(all.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-  }
-  std::sort(all.begin(), all.end(),
-            [](const Key& a, const Key& b) { return keyEarlier(a, b); });
-  // Brown's width rule, simplified: ~3x the mean gap over a head sample,
-  // so a window holds a few events on average.
-  if (all.size() >= 2) {
-    const std::size_t sample = std::min<std::size_t>(all.size() - 1, 64);
-    const Time span = all[sample].when - all[0].when;
-    cal_width_ = std::max<Time>(1, 3 * span / static_cast<Time>(sample));
-  }
-  cal_buckets_.assign(nbuckets, {});
-  calResetScan(all.empty() ? now_ : all[0].when);
-  // Globally sorted insert order means every bucket stays sorted with
-  // plain push_back.
-  for (const Key& k : all) {
-    const auto idx = static_cast<std::uint64_t>(k.when) /
-                     static_cast<std::uint64_t>(cal_width_);
-    cal_buckets_[static_cast<std::size_t>(idx % nbuckets)].push_back(k);
-  }
-}
-
-// -- Min extraction, shared by both implementations ---------------------------
-
-const EventQueue::Key* EventQueue::peekMinRaw() {
-  if (impl_ == QueueImpl::kHeap) {
-    return heap_.empty() ? nullptr : &heap_.front();
-  }
-  return calPeek();
-}
+// -- Min extraction -----------------------------------------------------------
 
 EventQueue::Key EventQueue::popMinRaw() {
-  if (impl_ == QueueImpl::kHeap) {
-    const Key k = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) heapSiftDown(0);
-    return k;
-  }
-  const Key* top = calPeek();  // positions cal_bucket_ at the minimum
-  const Key k = *top;
-  auto& bucket = cal_buckets_[cal_bucket_];
-  bucket.erase(bucket.begin());
-  --cal_count_;
-  calMaybeResize();
+  settleFiredRoot();
+  const Key k = heap_.front();
+  heapPopTop();
   return k;
 }
 
 const EventQueue::Key* EventQueue::peekLive() {
-  for (;;) {
-    const Key* top = peekMinRaw();
-    if (top == nullptr) return nullptr;
-    if (dead_keys_ != 0 && !keyLive(*top)) {
-      popMinRaw();
-      --dead_keys_;
-      continue;
-    }
-    return top;
+  settleFiredRoot();
+  while (heapSize() != 0) {
+    const Key& top = heap_.front();
+    if (dead_keys_ == 0 || keyLive(top)) return &top;
+    heapPopTop();
+    --dead_keys_;
   }
+  return nullptr;
 }
 
 bool EventQueue::step() {
   shard_.assertHeld();
-  if (peekLive() == nullptr) return false;
-  const Key key = popMinRaw();
-  const std::uint32_t slot = slotOf(key.id);
+  const Key* top = peekLive();
+  if (top == nullptr) return false;
+  fire(*top);
+  return true;
+}
+
+void EventQueue::fire(Key key) {
+  // The key stays at the root: the handler's first schedule() replaces
+  // it, and whatever else touches the heap first settles the pop.
+  fired_at_root_ = true;
+  const EventId id = key.id();
+  const Time when = key.when();
+  const std::uint32_t slot = slotOf(id);
   // Move the callback out of the slab before invoking: the handler may
   // schedule events, growing slots_ and invalidating slab references.
   Callback cb = std::move(slots_[slot].cb);
@@ -444,21 +354,21 @@ bool EventQueue::step() {
   // V100: simulation time is monotonic — schedule() clamps to now(),
   // so an earlier-than-now pop means the priority structure broke.
   VINI_AUDIT_CHECK(
-      key.when >= now_,
+      when >= now_,
       (check::Diagnostic{check::Severity::kError, "V100",
-                         "event " + std::to_string(key.id),
-                         "event timestamp " + std::to_string(key.when) +
+                         "event " + std::to_string(id),
+                         "event timestamp " + std::to_string(when) +
                              " is earlier than now() " +
                              std::to_string(now_)}));
-  if (advance_ && key.when > now_) advance_(now_, key.when);
-  now_ = key.when;
+  if (advance_ && when > now_) advance_(now_, when);
+  now_ = when;
   ++executed_;
   if (node != kNoNode) {
     ++node_executed_[node];
   } else {
     ++executed_unattributed_;
   }
-  if (introspect_) introspect_(ExecEvent{key.when, sched_at, node, sched_from});
+  if (introspect_) introspect_(ExecEvent{when, sched_at, node, sched_from});
   // Events the handler schedules are attributed as scheduled-from this
   // event's node; reset afterwards (step() does not nest).
   exec_node_ = node;
@@ -476,7 +386,8 @@ bool EventQueue::step() {
     cb();
   }
   exec_node_ = kNoNode;
-  return true;
+  // A handler that scheduled nothing leaves the pop to finish here.
+  settleFiredRoot();
 }
 
 void EventQueue::runUntil(Time deadline) {
@@ -486,8 +397,8 @@ void EventQueue::runUntil(Time deadline) {
     return;
   }
   while (const Key* top = peekLive()) {
-    if (top->when > deadline) break;
-    step();
+    if (top->when() > deadline) break;
+    fire(*top);
   }
   if (now_ < deadline) {
     if (advance_) advance_(now_, deadline);
@@ -503,7 +414,7 @@ void EventQueue::run() {
     const Duration w = shard_rt_->lookahead();
     constexpr Time kMax = std::numeric_limits<Time>::max();
     while (const Key* top = peekLive()) {
-      const Time t = top->when;
+      const Time t = top->when();
       shard_rt_->runUntil(t > kMax - w ? kMax : t + w);
     }
     return;

@@ -15,19 +15,21 @@
 //     monotone sequence number in the high bits, so cancel() finds its
 //     record and step() detects stale keys by a single id comparison —
 //     the engine keeps no hash map at all.
-//   * The priority structure orders lightweight 16-byte keys
-//     {when, id}, not the records themselves, so sift/scan moves stay
-//     inside a few cache lines.
-//   * Two interchangeable priority structures: a 4-ary heap (default,
-//     O(log n), fully general; 4-ary rather than binary because the
-//     four children of a node share a cache line, halving the miss
-//     depth of a sift on large queues) and a calendar queue (Brown
-//     1988: O(1) amortized at high event rates when timestamps are
-//     roughly uniform, as under saturating traffic).  Both pop in
-//     exactly the same (when, id) total order, so a run is
-//     byte-identical under either — scripts/check.sh diffs same-seed
-//     exports across the two to enforce it, and bench_engine measures
-//     them against each other.
+//   * The priority structure is an implicit 4-ary min-heap of
+//     lightweight 16-byte keys, not of the records themselves, so sift
+//     moves stay inside a few cache lines (the four children of a node
+//     share one or two of them, halving a binary heap's depth).
+//   * A key packs (when, id) into one unsigned 128-bit integer, so the
+//     (when, id) total order — FIFO among equal timestamps — is a
+//     single compare, and a sift-down picks the minimum of four
+//     children without a data-dependent branch.  Sentinel keys pad the
+//     heap so every node reads four children without a bounds check.
+//   * Pop and push are fused: step() leaves the fired key at the root,
+//     and the handler's first schedule() overwrites it with one
+//     sift-down (a heap "replace-top").  Any other access — a peek, a
+//     pop, a compaction, or a handler that schedules nothing — settles
+//     the deferred pop first, so the pop order is exactly the (when, id)
+//     order of a plain pop-then-push heap.
 //   * cancel() releases the callback (and everything it captured)
 //     eagerly and leaves only a tombstone key behind; tombstones are
 //     compacted away whenever they outnumber live keys.
@@ -60,20 +62,10 @@ using EventId = std::uint64_t;
 using NodeTag = std::uint16_t;
 inline constexpr NodeTag kNoNode = 0xFFFF;
 
-/// Priority-structure implementations selectable at construction.
-enum class QueueImpl {
-  kHeap,      ///< implicit 4-ary min-heap over the key vector
-  kCalendar,  ///< calendar queue: bucketed by timestamp, O(1) amortized
-};
-
-/// Stable lowercase name for reports and BENCH_engine.json.
-const char* queueImplName(QueueImpl impl);
-
 /// A deterministic discrete-event scheduler.
 ///
 /// Usage:
-///   EventQueue q;                         // 4-ary heap
-///   EventQueue q(QueueImpl::kCalendar);   // calendar queue
+///   EventQueue q;
 ///   q.schedule(q.now() + kSecond, [] { ... });
 ///   q.runUntil(10 * kSecond);
 class EventQueue {
@@ -84,21 +76,15 @@ class EventQueue {
   using Callback = InlineCallback<64>;
 
   EventQueue();  // out of line: members need ShardRuntime complete
-  explicit EventQueue(QueueImpl impl);
   /// Sharded construction: `threads` worker contexts execute the run
   /// once finalizeSharding() freezes the lane set.  threads == 0 is the
   /// classic single-threaded engine (byte-identical to an EventQueue
   /// built without the parameter); threads == 1 runs the sharded
   /// schedule serially — the determinism gate's reference run.
-  EventQueue(QueueImpl impl, int threads);
+  explicit EventQueue(int threads);
   ~EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-
-  QueueImpl impl() const {
-    shard_.assertHeld();
-    return impl_;
-  }
 
   /// Current simulation time.  Advances only inside run()/runUntil()/step().
   /// From inside a sharded worker lane this is the lane's local time
@@ -193,10 +179,11 @@ class EventQueue {
 
   /// Number of keys resident in the priority structure, *including*
   /// cancelled tombstones awaiting compaction — the memory the engine
-  /// actually pins.
+  /// actually pins.  A fired key awaiting its deferred pop is not
+  /// counted.
   std::size_t storageCount() const {
     shard_.assertHeld();
-    return impl_ == QueueImpl::kHeap ? heap_.size() : cal_count_;
+    return heapSize() - (fired_at_root_ ? 1 : 0);
   }
 
   /// Total number of events executed since construction.
@@ -313,6 +300,9 @@ class EventQueue {
 
  private:
   friend class ShardRuntime;
+  /// White-box access for the engine's unit tests (peekLive() from
+  /// inside a handler, the deferred-pop state).
+  friend struct EventQueueTestAccess;
 
   /// EventId layout: [ sequence : 40 | slab slot : 24 ].  The sequence
   /// is monotone per queue (ids order by scheduling time, giving the
@@ -327,17 +317,32 @@ class EventQueue {
   }
   static std::uint64_t seqOf(EventId id) { return id >> kSlotBits; }
 
-  /// What the priority structures order: 16 bytes, trivially copyable.
-  /// (when, id) is a total order — ids are unique and monotone — so any
-  /// correct min-extraction yields the same deterministic sequence.
+  /// What the heap orders: 16 bytes, trivially copyable.  (when, id)
+  /// is a total order — ids are unique and monotone — so any correct
+  /// min-extraction yields the same deterministic sequence.  The key
+  /// packs it as one unsigned 128-bit integer, (when ^ sign bit) above
+  /// the id: flipping the sign bit maps signed time onto unsigned
+  /// order, so `a.packed < b.packed` is exactly "a fires first".
+  using Packed = unsigned __int128;
+  static constexpr std::uint64_t kSignBit = 1ull << 63;
   struct Key {
-    Time when = 0;
-    EventId id = 0;
+    Packed packed;
+    static Key make(Time when, EventId id) {
+      const std::uint64_t biased = static_cast<std::uint64_t>(when) ^ kSignBit;
+      return Key{(static_cast<Packed>(biased) << 64) | id};
+    }
+    Time when() const {
+      return static_cast<Time>(static_cast<std::uint64_t>(packed >> 64) ^
+                               kSignBit);
+    }
+    EventId id() const { return static_cast<EventId>(packed); }
   };
-  static bool keyEarlier(const Key& a, const Key& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.id < b.id;  // FIFO among equal timestamps
-  }
+  /// Pads the heap past its last key: later than every real key, so
+  /// it never sifts up and never wins a child comparison.
+  static constexpr Key kSentinel{~Packed{0}};
+  /// Sentinels kept after the last key: a sift-down only visits nodes
+  /// whose first child is a key, so at most three children are absent.
+  static constexpr std::size_t kHeapPad = 3;
 
   /// Slab record: the callback (captures inline up to 64 bytes), the
   /// profiler tag, the node attribution (owning node, scheduling node,
@@ -361,16 +366,30 @@ class EventQueue {
   void releaseSlot(std::uint32_t slot) VINI_REQUIRES(shard_);
   /// True while `key` refers to a live (not cancelled, not fired) event.
   bool keyLive(const Key& key) const VINI_REQUIRES(shard_) {
-    return slots_[slotOf(key.id)].id == key.id;
+    return slots_[slotOf(key.id())].id == key.id();
   }
 
   /// Earliest live key, skimming cancelled tombstones off the top; null
   /// when empty.  The returned pointer is invalidated by any mutation.
   const Key* peekLive() VINI_REQUIRES(shard_);
-  const Key* peekMinRaw() VINI_REQUIRES(shard_);
   Key popMinRaw() VINI_REQUIRES(shard_);
+  /// Execute the event of `key`, the current root of the heap.  The
+  /// root stays in place while the handler runs (see fired_at_root_).
+  void fire(Key key) VINI_REQUIRES(shard_);
+  /// Complete a deferred pop, if one is pending.
+  void settleFiredRoot() VINI_REQUIRES(shard_) {
+    if (fired_at_root_) {
+      fired_at_root_ = false;
+      heapPopTop();
+    }
+  }
 
-  // 4-ary heap primitives (impl_ == kHeap only).
+  // 4-ary heap primitives.
+  std::size_t heapSize() const VINI_REQUIRES(shard_) {
+    return heap_.size() - kHeapPad;
+  }
+  void heapPush(Key k) VINI_REQUIRES(shard_);
+  void heapPopTop() VINI_REQUIRES(shard_);
   void heapSiftUp(std::size_t i) VINI_REQUIRES(shard_);
   void heapSiftDown(std::size_t i) VINI_REQUIRES(shard_);
   void heapRebuild() VINI_REQUIRES(shard_);
@@ -379,21 +398,11 @@ class EventQueue {
   /// outnumber live keys (dead_keys_ > storage/2).
   void maybeCompact() VINI_REQUIRES(shard_);
 
-  // Calendar-queue internals (impl_ == kCalendar only).  Buckets are
-  // kept sorted by (when, id); the scan position (cal_bucket_, cal_top_)
-  // walks year windows exactly as in Brown's original design.
-  void calResetScan(Time t) VINI_REQUIRES(shard_);
-  void calInsert(const Key& k) VINI_REQUIRES(shard_);
-  const Key* calPeek() VINI_REQUIRES(shard_);
-  void calMaybeResize() VINI_REQUIRES(shard_);
-  void calRebuild(std::size_t nbuckets) VINI_REQUIRES(shard_);
-
   // The queue is the unit the sharded engine distributes: one queue per
   // worker shard, owned exclusively by it.  Everything below is
   // shard-owned; cross-shard event handoff will go through an explicit
   // mailbox, never by touching another shard's members.
   core::ShardToken shard_;
-  QueueImpl impl_ VINI_GUARDED_BY(shard_) = QueueImpl::kHeap;
   // cross-shard: read by every layer via now(); sampled by observers.
   Time now_ VINI_GUARDED_BY(shard_) = 0;
   std::uint64_t next_seq_ VINI_GUARDED_BY(shard_) = 1;
@@ -414,16 +423,14 @@ class EventQueue {
   std::vector<Slot> slots_ VINI_GUARDED_BY(shard_);
   std::vector<std::uint32_t> free_slots_ VINI_GUARDED_BY(shard_);
 
-  // 4-ary heap structure (heapSiftUp/heapSiftDown-managed).
+  // 4-ary heap: keys in [0, heapSize()), then kHeapPad sentinels.
   // cross-shard: remote schedule() calls will land here via the mailbox.
-  std::vector<Key> heap_ VINI_GUARDED_BY(shard_);
-
-  // Calendar structure.
-  std::vector<std::vector<Key>> cal_buckets_ VINI_GUARDED_BY(shard_);
-  std::size_t cal_count_ VINI_GUARDED_BY(shard_) = 0;
-  Time cal_width_ VINI_GUARDED_BY(shard_) = kMillisecond;
-  std::size_t cal_bucket_ VINI_GUARDED_BY(shard_) = 0;
-  Time cal_top_ VINI_GUARDED_BY(shard_) = 0;
+  std::vector<Key> heap_ VINI_GUARDED_BY(shard_) =
+      std::vector<Key>(kHeapPad, kSentinel);
+  /// Set while the root holds the key of the event step() is firing:
+  /// its pop is deferred so that the handler's first schedule() can
+  /// replace the root in one sift-down instead of a pop and a push.
+  bool fired_at_root_ VINI_GUARDED_BY(shard_) = false;
 
   ProfileHook profiler_ VINI_GUARDED_BY(shard_);
   AdvanceHook advance_ VINI_GUARDED_BY(shard_);

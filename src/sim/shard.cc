@@ -74,8 +74,8 @@ void ShardRuntime::runUntil(Time deadline) {
   EventQueue& q = queue_;
   for (;;) {
     const EventQueue::Key* top = q.peekLive();
-    if (top == nullptr || top->when > deadline) break;
-    const Time anchor = top->when;
+    if (top == nullptr || top->when() > deadline) break;
+    const Time anchor = top->when();
     // Advance global time to the window anchor first: the sampler (the
     // advance hook's client) observes boundary state here, on the main
     // thread, with every worker quiescent.
@@ -108,15 +108,15 @@ void ShardRuntime::roundAt(Time anchor, Time deadline) {
   std::size_t extracted = 0;
   for (;;) {
     const EventQueue::Key* top = q.peekLive();
-    if (top == nullptr || top->when >= horizon) break;
-    const std::uint32_t slot = EventQueue::slotOf(top->id);
+    if (top == nullptr || top->when() >= horizon) break;
+    const std::uint32_t slot = EventQueue::slotOf(top->id());
     const NodeTag node = q.slots_[slot].node;
     if (node == kNoNode || node >= lanes_.size()) {
       if (extracted == 0) {
         q.step();  // a lone serial event; the next round re-anchors
         return;
       }
-      horizon = top->when;  // the serial event bounds this window
+      horizon = top->when();  // the serial event bounds this window
       break;
     }
     const EventQueue::Key key = q.popMinRaw();
@@ -127,7 +127,7 @@ void ShardRuntime::roundAt(Time anchor, Time deadline) {
       active_.push_back(&lane);
     }
     EventQueue::Slot& s = q.slots_[slot];
-    lane.run.push_back(RunEntry{std::move(s.cb), s.tag, key.when, key.id,
+    lane.run.push_back(RunEntry{std::move(s.cb), s.tag, key.when(), key.id(),
                                 s.sched_at, s.sched_from, false});
     q.releaseSlot(slot);
     --q.live_;

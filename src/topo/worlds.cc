@@ -6,8 +6,8 @@
 namespace vini::topo {
 
 World::World(tcpip::HostConfig host_default, phys::NetworkConfig net_config,
-             sim::QueueImpl queue_impl, int threads)
-    : queue(queue_impl, threads),
+             int threads)
+    : queue(threads),
       net(queue, net_config),
       stacks(net, host_default),
       schedule(queue) {
@@ -112,8 +112,8 @@ std::unique_ptr<World> makeDeterWorld(const WorldOptions& options) {
   phys::NetworkConfig net_config;
   net_config.mask_failures = options.mask_underlay_failures;
   net_config.seed = options.seed;
-  auto world = std::make_unique<World>(deterHost(), net_config,
-                                       options.queue_impl, options.threads);
+  auto world =
+      std::make_unique<World>(deterHost(), net_config, options.threads);
 
   DeterOptions deter;
   deter.seed = options.seed + 100;
@@ -135,8 +135,8 @@ std::unique_ptr<World> makeAbileneSubstrate(const WorldOptions& options) {
   phys::NetworkConfig net_config;
   net_config.mask_failures = options.mask_underlay_failures;
   net_config.seed = options.seed;
-  auto world = std::make_unique<World>(planetLabHost(), net_config,
-                                       options.queue_impl, options.threads);
+  auto world =
+      std::make_unique<World>(planetLabHost(), net_config, options.threads);
 
   AbileneOptions abilene;
   abilene.seed = options.seed + 200;

@@ -50,11 +50,6 @@ struct WorldOptions {
   /// therefore every existing seeded run — is byte-identical at 0 and
   /// above.
   int spare_nodes = 0;
-  /// Event-queue priority structure.  Both implementations produce
-  /// byte-identical runs; kCalendar trades worst-case O(log n) for O(1)
-  /// amortized under dense, roughly-uniform timestamps (see
-  /// bench_engine).
-  sim::QueueImpl queue_impl = sim::QueueImpl::kHeap;
   /// Worker threads for the sharded engine.  0 = classic single-threaded
   /// engine (byte-identical to the pre-sharding builds); N >= 1 runs the
   /// parallel sharded schedule, whose exports are byte-identical for
@@ -66,7 +61,7 @@ struct WorldOptions {
 class World {
  public:
   World(tcpip::HostConfig host_default, phys::NetworkConfig net_config,
-        sim::QueueImpl queue_impl = sim::QueueImpl::kHeap, int threads = 0);
+        int threads = 0);
 
   sim::EventQueue queue;
   phys::PhysNetwork net;

@@ -421,6 +421,38 @@ TEST(RouterGraph, ChainedConnectionsAcrossThreeElements) {
   EXPECT_EQ(graph.get<Counter>("c3")->packets(), 1u);
 }
 
+TEST(RouterGraph, ShaperHonoursQueueBytesArgument) {
+  GraphWorld world;
+  RouterGraph graph(world.context);
+  // 1 KB/s, a 1000-byte bucket, and a 3000-byte queue: a burst of 50
+  // 1000-byte packets overflows the queue at once.  With the 256 KiB
+  // default queue the same burst would drop nothing.
+  graph.parseConfig(R"(
+    shaper :: Shaper(8000, 1000, 3000);
+    sink :: Discard();
+    shaper -> sink;
+  )");
+  auto* shaper = graph.get<Shaper>("shaper");
+  ASSERT_NE(shaper, nullptr);
+  for (int i = 0; i < 50; ++i) shaper->push(0, udpTo(IpAddress(1, 1, 1, 1), 1000));
+  EXPECT_LE(shaper->queuedBytes(), 3000u);
+  EXPECT_GE(shaper->drops(), 45u);
+}
+
+TEST(RouterGraph, ShaperRejectsExtraArguments) {
+  GraphWorld world;
+  RouterGraph graph(world.context);
+  try {
+    graph.parseConfig("s :: Shaper(8000, 1000, 3000, 7);");
+    FAIL() << "four Shaper arguments were accepted";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("Shaper(rate_bps, bucket_bytes"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(graph.parseConfig("t :: Shaper(8000);"), std::exception);
+}
+
 // ---------------------------------------------------------------------------
 // NAPT (needs stacks and a network)
 

@@ -92,10 +92,9 @@ struct Workload {
   std::vector<std::uint64_t> state;
 };
 
-std::vector<std::vector<Step>> runWorkload(QueueImpl impl, int threads,
-                                           std::uint64_t seed,
+std::vector<std::vector<Step>> runWorkload(int threads, std::uint64_t seed,
                                            std::uint64_t* executed = nullptr) {
-  EventQueue q(impl, threads);
+  EventQueue q(threads);
   Workload w(q, 5, seed);
   if (threads > 0) q.finalizeSharding(Workload::kLookahead);
   w.seedEvents(4);
@@ -105,7 +104,7 @@ std::vector<std::vector<Step>> runWorkload(QueueImpl impl, int threads,
 }
 
 TEST(ShardEngine, ClassicConstructionUnchanged) {
-  EventQueue q(QueueImpl::kHeap, 0);
+  EventQueue q(0);
   EXPECT_FALSE(q.sharded());
   q.finalizeSharding(kMicrosecond);  // no-op at threads == 0
   EXPECT_FALSE(q.sharded());
@@ -121,23 +120,20 @@ TEST(ShardEngine, ShardedSerialMatchesClassic) {
   // may break classic's global FIFO ties; sharded mode defines its own
   // canonical order there, stable across thread counts — the
   // ThreadCountInvariant test — rather than classic's.)
-  for (const QueueImpl impl : {QueueImpl::kHeap, QueueImpl::kCalendar}) {
-    std::vector<std::vector<Step>> classic;
-    for (const int threads : {0, 1, 4}) {
-      EventQueue q(impl, threads);
-      Workload w(q, 5, 41, /*cross=*/false);
-      if (threads > 0) q.finalizeSharding(Workload::kLookahead);
-      w.seedEvents(4);
-      q.run();
-      if (threads == 0) {
-        classic = w.logs;
-        continue;
-      }
-      ASSERT_EQ(classic.size(), w.logs.size());
-      for (std::size_t n = 0; n < classic.size(); ++n) {
-        EXPECT_EQ(classic[n], w.logs[n])
-            << queueImplName(impl) << " threads=" << threads << " node " << n;
-      }
+  std::vector<std::vector<Step>> classic;
+  for (const int threads : {0, 1, 4}) {
+    EventQueue q(threads);
+    Workload w(q, 5, 41, /*cross=*/false);
+    if (threads > 0) q.finalizeSharding(Workload::kLookahead);
+    w.seedEvents(4);
+    q.run();
+    if (threads == 0) {
+      classic = w.logs;
+      continue;
+    }
+    ASSERT_EQ(classic.size(), w.logs.size());
+    for (std::size_t n = 0; n < classic.size(); ++n) {
+      EXPECT_EQ(classic[n], w.logs[n]) << "threads=" << threads << " node " << n;
     }
   }
 }
@@ -145,20 +141,16 @@ TEST(ShardEngine, ShardedSerialMatchesClassic) {
 TEST(ShardEngine, ThreadCountInvariant) {
   const unsigned hw = std::thread::hardware_concurrency();
   const std::vector<int> counts = {1, 2, 8, hw > 0 ? static_cast<int>(hw) : 4};
-  for (const QueueImpl impl : {QueueImpl::kHeap, QueueImpl::kCalendar}) {
-    for (const std::uint64_t seed : {7ull, 1234ull, 999983ull}) {
-      std::uint64_t ref_executed = 0;
-      const auto ref = runWorkload(impl, 1, seed, &ref_executed);
-      for (const int threads : counts) {
-        std::uint64_t executed = 0;
-        const auto got = runWorkload(impl, threads, seed, &executed);
-        EXPECT_EQ(ref_executed, executed)
-            << queueImplName(impl) << " threads=" << threads;
-        ASSERT_EQ(ref.size(), got.size());
-        for (std::size_t n = 0; n < ref.size(); ++n) {
-          EXPECT_EQ(ref[n], got[n]) << queueImplName(impl) << " threads="
-                                    << threads << " node " << n;
-        }
+  for (const std::uint64_t seed : {7ull, 1234ull, 999983ull}) {
+    std::uint64_t ref_executed = 0;
+    const auto ref = runWorkload(1, seed, &ref_executed);
+    for (const int threads : counts) {
+      std::uint64_t executed = 0;
+      const auto got = runWorkload(threads, seed, &executed);
+      EXPECT_EQ(ref_executed, executed) << "threads=" << threads;
+      ASSERT_EQ(ref.size(), got.size());
+      for (std::size_t n = 0; n < ref.size(); ++n) {
+        EXPECT_EQ(ref[n], got[n]) << "threads=" << threads << " node " << n;
       }
     }
   }
@@ -167,7 +159,7 @@ TEST(ShardEngine, ThreadCountInvariant) {
 TEST(ShardEngine, WorkerTimersAndCancellation) {
   // Timers armed from inside lanes (sharded ids) must stay cancellable
   // from later rounds and from the main thread.
-  EventQueue q(QueueImpl::kHeap, 4);
+  EventQueue q(4);
   const NodeTag a = q.internNodeTag("a");
   const NodeTag b = q.internNodeTag("b");
   q.finalizeSharding(10 * kMicrosecond);
@@ -195,7 +187,7 @@ TEST(ShardEngine, UnattributedEventsRunSerially) {
   // time; their presence must not break lane execution.
   std::vector<std::vector<Step>> ref;
   for (const int threads : {1, 2, 8}) {
-    EventQueue q(QueueImpl::kHeap, threads);
+    EventQueue q(threads);
     Workload w(q, 3, 77);
     q.finalizeSharding(Workload::kLookahead);
     int global_ticks = 0;
@@ -218,7 +210,7 @@ TEST(ShardEngine, UnattributedEventsRunSerially) {
 
 TEST(ShardEngine, RunUntilHonorsDeadlineAndAdvance) {
   for (const int threads : {1, 4}) {
-    EventQueue q(QueueImpl::kHeap, threads);
+    EventQueue q(threads);
     const NodeTag a = q.internNodeTag("a");
     q.finalizeSharding(5 * kMicrosecond);
     int fired = 0;

@@ -2,8 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "check/audit.h"
@@ -13,6 +18,23 @@
 #include "sim/stats.h"
 
 namespace vini::sim {
+
+/// White-box hooks into the queue (a friend of EventQueue).
+struct EventQueueTestAccess {
+  /// The earliest live (when, id), as the run loops see it.
+  static std::optional<std::pair<Time, EventId>> peek(EventQueue& q) {
+    q.shard_.assertHeld();
+    const EventQueue::Key* top = q.peekLive();
+    if (top == nullptr) return std::nullopt;
+    return std::make_pair(top->when(), top->id());
+  }
+  /// True while a handler runs with its own key still at the heap root.
+  static bool firedAtRoot(EventQueue& q) {
+    q.shard_.assertHeld();
+    return q.fired_at_root_;
+  }
+};
+
 namespace {
 
 TEST(EventQueue, ExecutesInTimeOrder) {
@@ -185,50 +207,115 @@ TEST(EventQueue, CancelOrderDeterministicAfterCompaction) {
   }
 }
 
-TEST(EventQueue, HeapAndCalendarFireIdenticalSequences) {
-  // Both priority structures implement the same (when, id) total order,
-  // so a randomized workload with cancellations and re-entrant
-  // scheduling must replay identically on either implementation.
-  auto run = [](QueueImpl impl) {
-    EventQueue q(impl);
-    Random r(99);
-    std::vector<std::pair<Time, int>> fired;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 400; ++i) {
-      const Time when = r.uniformDuration(0, 2 * kSecond);
-      ids.push_back(q.schedule(when, [&q, &fired, i] {
-        fired.emplace_back(q.now(), i);
-        if (i % 5 == 0) {
-          q.scheduleAfter(kMillisecond,
-                          [&q, &fired, i] { fired.emplace_back(q.now(), 1000 + i); });
-        }
-      }));
-    }
-    for (std::size_t i = 0; i < ids.size(); i += 7) q.cancel(ids[i]);
-    q.run();
-    return fired;
-  };
-  const auto heap = run(QueueImpl::kHeap);
-  const auto calendar = run(QueueImpl::kCalendar);
-  EXPECT_EQ(heap, calendar);
-  EXPECT_GT(heap.size(), 300u);
-}
+TEST(EventQueue, RandomizedReplayMatchesReferenceModel) {
+  // A seeded workload replayed against a reference model: a std::set of
+  // (when, seq), where seq counts schedule() calls — the order the
+  // queue's (when, id) keys must pop in, FIFO among equal timestamps.
+  // Every handler checks it is the model's minimum, then does a random
+  // mix of the things that stress the fused pop/push: scheduling 0, 1
+  // or several events (same-instant, near, and sparse far-future),
+  // cancelling enough other events to force a compaction while its own
+  // key still waits at the heap root, cancelling its own id, and
+  // peeking the queue mid-handler.
+  for (const std::uint64_t seed : {1ull, 7ull, 4242ull}) {
+    // Cancelling its own id raises the V101 stale-handle warning.
+    check::ScopedAuditCollector collector;
+    EventQueue q;
+    Random r(seed);
+    std::set<std::pair<Time, std::uint64_t>> model;
+    std::map<std::uint64_t, EventId> ids;  // model seq -> queue handle
+    std::uint64_t next_seq = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t budget = 6000;  // schedule() calls left
+    int compactions_under_fired_root = 0;
+    int self_cancels = 0;
+    int peeks = 0;
 
-TEST(EventQueue, CalendarHandlesSparseFarFutureEvents) {
-  // Sparse timestamps spanning minutes stress the calendar's
-  // year-window scan and its direct-search fallback; an insert earlier
-  // than the current scan position exercises the rewind path.
-  EventQueue q(QueueImpl::kCalendar);
-  EXPECT_EQ(std::string(queueImplName(q.impl())), "calendar");
-  std::vector<int> order;
-  q.schedule(600 * kSecond, [&] { order.push_back(3); });
-  q.schedule(1, [&] { order.push_back(1); });
-  q.schedule(60 * kSecond, [&] { order.push_back(2); });
-  q.step();  // fires the t=1 event, scan is now positioned past it
-  q.schedule(2, [&] { order.push_back(10); });  // rewind: earlier than scan
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 10, 2, 3}));
-  EXPECT_EQ(q.executedCount(), 4u);
+    auto cancelRandom = [&] {
+      const auto victim = std::next(
+          model.begin(),
+          r.uniformInt(0, static_cast<std::int64_t>(model.size()) - 1));
+      EXPECT_TRUE(q.cancel(ids.at(victim->second)));
+      ids.erase(victim->second);
+      model.erase(victim);
+    };
+    std::function<void(Time)> add;
+    auto handler = [&](std::uint64_t seq) {
+      return [&, seq] {
+        ASSERT_FALSE(model.empty());
+        ASSERT_EQ(*model.begin(), std::make_pair(q.now(), seq));
+        model.erase(model.begin());
+        const EventId self = ids.at(seq);
+        ids.erase(seq);
+        ++fired;
+        EXPECT_EQ(q.pendingCount(), model.size());
+        const double roll = r.uniform01();
+        if (roll < 0.05) {
+          EXPECT_FALSE(q.cancel(self));  // already firing: not pending
+          ++self_cancels;
+        }
+        if (roll > 0.995 && model.size() > 8) {
+          // Cancel a majority of what is pending before scheduling
+          // anything: compaction runs with this key still at the root.
+          ASSERT_TRUE(EventQueueTestAccess::firedAtRoot(q));
+          const std::size_t storage = q.storageCount();
+          while (model.size() * 3 > storage) cancelRandom();
+          EXPECT_LT(q.storageCount(), storage);
+          EXPECT_FALSE(EventQueueTestAccess::firedAtRoot(q));
+          ++compactions_under_fired_root;
+        } else if (roll > 0.85 && !model.empty()) {
+          cancelRandom();
+        }
+        if (r.chance(0.1)) {
+          const auto top = EventQueueTestAccess::peek(q);
+          ++peeks;
+          if (model.empty()) {
+            EXPECT_FALSE(top.has_value());
+          } else {
+            ASSERT_TRUE(top.has_value());
+            EXPECT_EQ(top->first, model.begin()->first);
+            EXPECT_EQ(top->second, ids.at(model.begin()->second));
+          }
+        }
+        const std::int64_t fanout = r.uniformInt(0, 3);  // 0, 1 or several
+        for (std::int64_t k = 0; k < fanout && budget > 0; ++k) {
+          const double kind = r.uniform01();
+          Duration delay = 0;  // same instant: FIFO behind the others
+          if (kind < 0.02) {
+            delay = r.uniformDuration(600 * kSecond, 3 * 3600 * kSecond);
+          } else if (kind < 0.6) {
+            delay = r.uniformInt(0, 3) * kMicrosecond;  // timestamp ties
+          } else if (kind < 0.95) {
+            delay = r.uniformDuration(0, kMillisecond);
+          }
+          add(q.now() + delay);
+        }
+      };
+    };
+    add = [&](Time when) {
+      --budget;
+      const std::uint64_t seq = next_seq++;
+      model.emplace(when, seq);
+      ids[seq] = q.schedule(when, handler(seq));
+    };
+    for (int i = 0; i < 64; ++i) add(r.uniformDuration(0, 10 * kMillisecond));
+    // Step through deadlines first (runUntil's loop), then drain.
+    for (Time t = 0; t < 50 * kMillisecond; t += 5 * kMillisecond) {
+      q.runUntil(t);
+    }
+    q.run();
+
+    EXPECT_TRUE(model.empty());
+    EXPECT_EQ(q.executedCount(), fired);
+    EXPECT_EQ(q.pendingCount(), 0u);
+    EXPECT_EQ(q.storageCount(), 0u);
+    EXPECT_GT(fired, 3000u) << "seed " << seed;
+    EXPECT_GT(compactions_under_fired_root, 0) << "seed " << seed;
+    EXPECT_GT(self_cancels, 0) << "seed " << seed;
+    EXPECT_GT(peeks, 0) << "seed " << seed;
+    EXPECT_FALSE(collector.report().hasErrors())
+        << collector.report().format();
+  }
 }
 
 TEST(EventQueue, PeakCountersTrackHighWater) {

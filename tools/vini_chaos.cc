@@ -16,8 +16,6 @@
 //   --seed <n>         campaign seed (default 1)
 //   --duration <s>     fault-storm length in seconds (default 120)
 //   --world <name>     deter | abilene (default abilene)
-//   --queue <impl>     heap | calendar event queue (default heap; the
-//                      CI stage diffs both to prove impl-independence)
 //   --rip              run RIP alongside OSPF on the overlay
 //   --migrate          attach a spare substrate node and let the storm
 //                      live-migrate routers onto it (V130-V133 audits)
@@ -41,8 +39,8 @@ namespace {
 
 void usage(std::ostream& os) {
   os << "usage: vini_chaos [--seed <n>] [--duration <s>]\n"
-        "                  [--world deter|abilene] [--queue heap|calendar]\n"
-        "                  [--rip] [--migrate] [--json <path>] [--quiet]\n"
+        "                  [--world deter|abilene] [--rip] [--migrate]\n"
+        "                  [--json <path>] [--quiet]\n"
         "\n"
         "Runs a seeded fault campaign against a ready-made world and\n"
         "audits the chaos invariants; exits 1 on any violation.\n";
@@ -54,7 +52,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   double duration_seconds = 120.0;
   std::string world_name = "abilene";
-  std::string queue_name = "heap";
   bool enable_rip = false;
   bool migrate = false;
   std::string json_path;
@@ -82,8 +79,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--world" && i + 1 < argc) {
       world_name = argv[++i];
-    } else if (arg == "--queue" && i + 1 < argc) {
-      queue_name = argv[++i];
     } else if (arg == "--rip") {
       enable_rip = true;
     } else if (arg == "--migrate") {
@@ -106,15 +101,6 @@ int main(int argc, char** argv) {
   vini::topo::WorldOptions options;
   options.enable_rip = enable_rip;
   options.seed = seed;
-  if (queue_name == "heap") {
-    options.queue_impl = vini::sim::QueueImpl::kHeap;
-  } else if (queue_name == "calendar") {
-    options.queue_impl = vini::sim::QueueImpl::kCalendar;
-  } else {
-    std::cerr << "vini_chaos: unknown queue impl '" << queue_name
-              << "' (expected heap or calendar)\n";
-    return 2;
-  }
   if (migrate) options.spare_nodes = 1;
   std::unique_ptr<vini::topo::World> world;
   if (world_name == "deter") {

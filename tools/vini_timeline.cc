@@ -5,8 +5,7 @@
 // OSPF reconverges) with span tracing, the control-plane timeline, and
 // the metric sampler armed, then exports what they captured:
 //
-//   vini_timeline export    [--seed N] [--out BASE] [--queue heap|calendar]
-//                           [--threads N]
+//   vini_timeline export    [--seed N] [--out BASE] [--threads N]
 //       BASE.json        Chrome trace-event JSON (Perfetto-loadable)
 //       BASE.spans.csv   completed spans in close order
 //       BASE.timeline.csv control-plane instants/durations
@@ -19,10 +18,8 @@
 //   vini_timeline --self-test
 //
 // The scenario is deterministic: the same --seed produces byte-identical
-// exports, which the CI timeline stage enforces with a double-run diff —
-// and across both event-queue implementations (--queue), which the
-// engine-bench stage enforces with a heap-vs-calendar diff.  With
-// --threads N >= 1 the run uses the sharded engine, whose exports are
+// exports, which the CI timeline stage enforces with a double-run diff.
+// With --threads N >= 1 the run uses the sharded engine, whose exports are
 // byte-identical across every N (the CI shard-determinism stage diffs
 // 1 vs multi-thread exports); --threads 0 is the classic serial engine.
 // VINI_SMOKE=1 shrinks the run for fast gating.
@@ -52,7 +49,7 @@ using namespace vini;
 
 int usage() {
   std::cerr << "usage: vini_timeline export    [--seed N] [--out BASE]"
-               " [--queue heap|calendar] [--threads N]\n"
+               " [--threads N]\n"
                "       vini_timeline decompose [--seed N] [--trace N]\n"
                "       vini_timeline validate <file.json>\n"
                "       vini_timeline --self-test\n";
@@ -70,7 +67,6 @@ struct ScenarioResult {
 /// Denver-KansasCity virtual link mid-run, restore it, keep pinging.
 /// Everything the obs layer captures flows from this one run.
 ScenarioResult runScenario(std::uint64_t seed, obs::ScopedObs& scope,
-                           sim::QueueImpl queue_impl = sim::QueueImpl::kHeap,
                            int threads = 0) {
   const bool smoke = std::getenv("VINI_SMOKE") != nullptr;
   topo::WorldOptions options;
@@ -78,7 +74,6 @@ ScenarioResult runScenario(std::uint64_t seed, obs::ScopedObs& scope,
   options.resources.realtime = true;
   options.contention = topo::kPlanetLabContention;
   options.seed = seed;
-  options.queue_impl = queue_impl;
   options.threads = threads;
   ScenarioResult result;
   result.world = topo::makeAbileneWorld(options);
@@ -121,10 +116,9 @@ ScenarioResult runScenario(std::uint64_t seed, obs::ScopedObs& scope,
   return result;
 }
 
-int cmdExport(std::uint64_t seed, const std::string& base,
-              sim::QueueImpl queue_impl, int threads) {
+int cmdExport(std::uint64_t seed, const std::string& base, int threads) {
   obs::ScopedObs scope;
-  ScenarioResult result = runScenario(seed, scope, queue_impl, threads);
+  ScenarioResult result = runScenario(seed, scope, threads);
   // Sharded runs buffer ordered-stream records per worker lane; fold
   // them back (deterministic merge) before anything reads or exports.
   scope.obs().foldShardLanes();
@@ -592,7 +586,6 @@ int main(int argc, char** argv) {
   std::uint64_t trace = 0;
   std::string base = "vini_timeline";
   std::string path;
-  sim::QueueImpl queue_impl = sim::QueueImpl::kHeap;
   int threads = 0;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -616,16 +609,6 @@ int main(int argc, char** argv) {
         std::cerr << "vini_timeline: --threads must be >= 0\n";
         return 2;
       }
-    } else if (arg == "--queue") {
-      const std::string which = value("--queue");
-      if (which == "heap") {
-        queue_impl = sim::QueueImpl::kHeap;
-      } else if (which == "calendar") {
-        queue_impl = sim::QueueImpl::kCalendar;
-      } else {
-        std::cerr << "vini_timeline: unknown --queue '" << which << "'\n";
-        return 2;
-      }
     } else if (path.empty() && arg[0] != '-') {
       path = arg;
     } else {
@@ -634,7 +617,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (cmd == "export") return cmdExport(seed, base, queue_impl, threads);
+    if (cmd == "export") return cmdExport(seed, base, threads);
     if (cmd == "decompose") return cmdDecompose(seed, trace);
     if (cmd == "validate") {
       if (path.empty()) return usage();
