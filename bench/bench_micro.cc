@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the substrate's hot paths:
 // FIB longest-prefix match (trie vs. a linear scan baseline — the
-// data-plane design choice), packet serialization, checksums, the event
+// data-plane design choice — and the route-cached Click lookup element),
+// the CPU model's job queue, packet serialization, checksums, the event
 // queue, and RIB churn.
 #include <benchmark/benchmark.h>
 
@@ -8,11 +9,14 @@
 #include <random>
 #include <vector>
 
+#include "click/elements.h"
 #include "click/fib.h"
+#include "cpu/scheduler.h"
 #include "obs/obs.h"
 #include "packet/checksum.h"
 #include "packet/packet.h"
 #include "sim/event_queue.h"
+#include "sim/ring.h"
 #include "xorp/rib.h"
 
 namespace {
@@ -49,6 +53,61 @@ void BM_FibTrieLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FibTrieLookup)->Arg(16)->Arg(256)->Arg(4096);
+
+void BM_FibLookupFlows(benchmark::State& state) {
+  // The forwarder's view: LookupIPRoute routing packets of 32 flows
+  // (repeating destinations, so its route cache hits) through a FIB of
+  // range(0) routes.  Each packet is copied from its flow's template, as
+  // a tunnel endpoint copies the shared inner packet.
+  using vini::click::Discard;
+  using vini::click::LookupIPRoute;
+  const auto routes = makeRoutes(static_cast<std::size_t>(state.range(0)));
+  LookupIPRoute rt;
+  for (const auto& r : routes) rt.fib().addRoute(r);
+  Discard sink;
+  for (int port = 0; port < 4; ++port) rt.connectOutput(port, sink, 0);
+  std::vector<Packet> flows;
+  for (std::size_t i = 0; i < 32; ++i) {
+    // Destinations in or next to routed prefixes: most match a route.
+    const IpAddress dst(routes[(i * 7) % routes.size()].prefix.address().value() |
+                        static_cast<std::uint32_t>(i));
+    flows.push_back(Packet::udp(IpAddress(10, 1, 0, 2), dst, 1, 2, 1000));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    rt.push(0, Packet(flows[i++ & 31]));
+  }
+  benchmark::DoNotOptimize(sink.count());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FibLookupFlows)->Arg(16)->Arg(256)->Arg(4096);
+
+void BM_ProcessJobs(benchmark::State& state) {
+  // ns per packet-sized job through the CPU model: the Click ingress
+  // pattern of a packet parked in a ring and a job capturing only its
+  // owner, 1024 jobs per iteration, run to completion on a dedicated
+  // machine (each job is two events: wakeup/slice, completion).
+  struct Ingress {
+    vini::sim::FifoRing<Packet> pending;
+    std::size_t bytes = 0;
+  };
+  const Packet templ = Packet::udp(IpAddress(10, 1, 0, 2),
+                                   IpAddress(10, 1, 1, 2), 1, 2, 1000);
+  vini::sim::EventQueue q;
+  vini::cpu::Scheduler sched(q, vini::cpu::SchedulerConfig{});
+  vini::cpu::Process& proc = sched.createProcess({});
+  Ingress in;
+  for (auto _ : state) {
+    for (int i = 0; i < 1024; ++i) {
+      in.pending.push(Packet(templ));
+      proc.execute(1000, [&in] { in.bytes += in.pending.pop().ipPacketBytes(); });
+    }
+    q.run();
+    benchmark::DoNotOptimize(in.bytes);
+  }
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_ProcessJobs);
 
 void BM_FibLinearLookup(benchmark::State& state) {
   // The naive alternative the trie replaces.

@@ -64,8 +64,10 @@ class Element {
   virtual std::string className() const = 0;
   const std::string& name() const { return name_; }
 
-  /// Process a packet arriving on `input_port`.
-  virtual void push(int input_port, packet::Packet p) = 0;
+  /// Process a packet arriving on `input_port`.  The element takes the
+  /// packet over: it may modify it in place and move it downstream, so
+  /// a hop through the graph never copies a packet.
+  virtual void push(int input_port, packet::Packet&& p) = 0;
 
   /// Connect this element's `port` to `target`'s `target_port`.
   void connectOutput(int port, Element& target, int target_port);
@@ -77,7 +79,7 @@ class Element {
 
   /// Hand a packet to whatever is connected to `port`; dropped (and
   /// counted) if the port is unconnected.
-  void output(int port, packet::Packet p);
+  void output(int port, packet::Packet&& p);
 
   std::uint64_t unconnectedDrops() const { return unconnected_drops_; }
 

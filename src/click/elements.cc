@@ -105,7 +105,8 @@ void FromSocket::onQueued(const packet::Packet& p) {
       VINI_OBS_ROOT_DROP(trace_id, "non_tunnel");
       return;
     }
-    output(0, *p->inner);
+    // Inner packets are shared and immutable: the graph gets its own copy.
+    output(0, packet::Packet(*p->inner));
     spanClose(context_, span);
   });
 }
@@ -130,7 +131,7 @@ ToSocket::ToSocket(ClickContext& context, std::uint16_t local_port)
   }
 }
 
-void ToSocket::push(int, packet::Packet p) {
+void ToSocket::push(int, packet::Packet&& p) {
   if (p.meta.encap_dst.isZero()) {
     ++unroutable_;
     VINI_OBS_INC(m_unroutable_);
@@ -163,9 +164,10 @@ TapIn::TapIn(ClickContext& context, const std::string& device_name)
     // The kernel handed us a packet via /dev/net/tun; reading it is a
     // syscall round like any other forwarding operation.
     const sim::Duration cost = context_.costs.cost(p.ipPacketBytes());
-    context_.process->execute(cost, [this, p = std::move(p)]() mutable {
+    pending_.push(std::move(p));
+    context_.process->execute(cost, [this] {
       ++received_;
-      output(0, std::move(p));
+      output(0, pending_.pop());
     });
   });
 }
@@ -175,7 +177,7 @@ TapOut::TapOut(ClickContext& context, const std::string& device_name)
   requireTun(context_, device_name);  // fail fast on bad config
 }
 
-void TapOut::push(int, packet::Packet p) {
+void TapOut::push(int, packet::Packet&& p) {
   auto* dev = dynamic_cast<tcpip::TunDevice*>(
       context_.stack->deviceByName(device_name_));
   if (!dev) return;
@@ -188,23 +190,24 @@ void TapOut::push(int, packet::Packet p) {
 
 UmlSwitch::UmlSwitch(ClickContext& context) : context_(context) {}
 
-void UmlSwitch::push(int, packet::Packet p) {
+void UmlSwitch::push(int, packet::Packet&& p) {
   ++to_uml_;
   if (upcall_) upcall_(std::move(p));
 }
 
 void UmlSwitch::injectFromUml(packet::Packet p) {
   const sim::Duration cost = context_.costs.cost(p.ipPacketBytes());
-  context_.process->execute(cost, [this, p = std::move(p)]() mutable {
+  pending_.push(std::move(p));
+  context_.process->execute(cost, [this] {
     ++from_uml_;
-    output(0, std::move(p));
+    output(0, pending_.pop());
   });
 }
 
 // ---------------------------------------------------------------------------
 // LocalDemux
 
-void LocalDemux::push(int, packet::Packet p) {
+void LocalDemux::push(int, packet::Packet&& p) {
   const bool local = isLocal(p.ip.dst);
   // Control-plane traffic: OSPF (protocol 89) and RIP (UDP port 520)
   // addressed to this virtual node go up to the routing daemon.
@@ -223,7 +226,7 @@ void LocalDemux::push(int, packet::Packet p) {
 // ---------------------------------------------------------------------------
 // DecIpTtl
 
-void DecIpTtl::push(int, packet::Packet p) {
+void DecIpTtl::push(int, packet::Packet&& p) {
   if (p.ip.ttl <= 1) {
     ++expired_;
     VINI_OBS_ROOT_DROP(p.meta.trace_id, "ttl_expired");
@@ -253,8 +256,18 @@ LookupIPRoute::LookupIPRoute(const std::vector<std::string>& route_args) {
   }
 }
 
-void LookupIPRoute::push(int, packet::Packet p) {
-  const auto entry = fib_.lookup(p.ip.dst);
+const FibEntry* LookupIPRoute::route(packet::IpAddress dst) {
+  // Fibonacci hashing: the top bits of dst * 2^32/phi pick the slot,
+  // so destinations differing only in low bits spread across slots.
+  CacheSlot& slot = cache_[(dst.value() * 0x9E3779B9u) >> (32 - kCacheBits)];
+  if (slot.generation != fib_.generation() || slot.dst != dst.value()) {
+    slot = CacheSlot{dst.value(), fib_.generation(), fib_.lookup(dst)};
+  }
+  return slot.entry;
+}
+
+void LookupIPRoute::push(int, packet::Packet&& p) {
+  const FibEntry* entry = route(p.ip.dst);
   if (!entry) {
     ++misses_;
     VINI_OBS_ROOT_DROP(p.meta.trace_id, "fib_miss");
@@ -276,7 +289,7 @@ bool EncapTable::removeMapping(packet::IpAddress next_hop) {
   return table_.erase(next_hop) != 0;
 }
 
-void EncapTable::push(int, packet::Packet p) {
+void EncapTable::push(int, packet::Packet&& p) {
   auto it = table_.find(p.meta.next_hop);
   if (it == table_.end()) {
     ++misses_;
@@ -318,7 +331,7 @@ std::uint16_t Napt::mapFlow(const FlowKey& key, packet::IpProto proto) {
   return nat_port;
 }
 
-void Napt::push(int, packet::Packet p) {
+void Napt::push(int, packet::Packet&& p) {
   // Egress marker in the hop decomposition: translation is synchronous,
   // so the span is zero-width, but it records where the packet left the
   // overlay.
@@ -370,9 +383,8 @@ void Napt::onReturnPacket(packet::Packet p, std::uint16_t nat_port) {
   ++translated_back_;
   // Return traffic re-enters the overlay through the Click process.
   const sim::Duration cost = context_.costs.cost(p.ipPacketBytes());
-  context_.process->execute(cost, [this, p = std::move(p)]() mutable {
-    output(0, std::move(p));
-  });
+  pending_.push(std::move(p));
+  context_.process->execute(cost, [this] { output(0, pending_.pop()); });
 }
 
 // ---------------------------------------------------------------------------
@@ -401,7 +413,7 @@ void Shaper::refill() {
   last_refill_ = now;
 }
 
-void Shaper::push(int, packet::Packet p) {
+void Shaper::push(int, packet::Packet&& p) {
   const std::size_t size = p.wireBytes();
   if (queued_bytes_ + size > queue_capacity_) {
     ++drops_;
@@ -444,7 +456,7 @@ void Shaper::drain() {
 // ---------------------------------------------------------------------------
 // DropFilter
 
-void DropFilter::push(int, packet::Packet p) {
+void DropFilter::push(int, packet::Packet&& p) {
   const packet::IpAddress key =
       p.meta.encap_dst.isZero() ? p.ip.dst : p.meta.encap_dst;
   if (isBlocked(key)) {
@@ -460,7 +472,7 @@ void DropFilter::push(int, packet::Packet p) {
 // ---------------------------------------------------------------------------
 // IcmpTimeExceeded
 
-void IcmpTimeExceeded::push(int, packet::Packet p) {
+void IcmpTimeExceeded::push(int, packet::Packet&& p) {
   if (p.isIcmp()) return;  // never ICMP about ICMP
   ++generated_;
   output(0, packet::Packet::icmpError(reporter_,
@@ -471,7 +483,7 @@ void IcmpTimeExceeded::push(int, packet::Packet p) {
 // ---------------------------------------------------------------------------
 // Counter / Classifier
 
-void Counter::push(int, packet::Packet p) {
+void Counter::push(int, packet::Packet&& p) {
   ++packets_;
   bytes_ += p.ipPacketBytes();
   output(0, std::move(p));
@@ -480,7 +492,7 @@ void Counter::push(int, packet::Packet p) {
 Classifier::Classifier(std::vector<std::string> patterns)
     : patterns_(std::move(patterns)) {}
 
-void Classifier::push(int, packet::Packet p) {
+void Classifier::push(int, packet::Packet&& p) {
   for (std::size_t i = 0; i < patterns_.size(); ++i) {
     const std::string& pat = patterns_[i];
     const bool match =

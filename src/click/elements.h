@@ -9,6 +9,7 @@
 // "by dropping packets within Click on the virtual link").
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -21,6 +22,7 @@
 #include "click/fib.h"
 #include "obs/obs.h"
 #include "sim/event_queue.h"
+#include "sim/ring.h"
 
 namespace vini::click {
 
@@ -32,7 +34,7 @@ class FromSocket final : public Element {
  public:
   FromSocket(ClickContext& context, std::uint16_t port);
   std::string className() const override { return "FromSocket"; }
-  void push(int, packet::Packet) override {}  // source element: no inputs
+  void push(int, packet::Packet&&) override {}  // source element: no inputs
 
   std::uint16_t port() const { return port_; }
   std::uint64_t received() const { return received_; }
@@ -56,7 +58,7 @@ class ToSocket final : public Element {
  public:
   ToSocket(ClickContext& context, std::uint16_t local_port);
   std::string className() const override { return "ToSocket"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   std::uint64_t sent() const { return sent_; }
   std::uint64_t unroutable() const { return unroutable_; }
@@ -77,12 +79,15 @@ class TapIn final : public Element {
  public:
   TapIn(ClickContext& context, const std::string& device_name);
   std::string className() const override { return "TapIn"; }
-  void push(int, packet::Packet) override {}  // source element
+  void push(int, packet::Packet&&) override {}  // source element
 
   std::uint64_t received() const { return received_; }
 
  private:
   ClickContext& context_;
+  /// Packets read but not yet processed, one per queued process job
+  /// (both FIFO), so the job itself captures only `this`.
+  sim::FifoRing<packet::Packet> pending_;
   std::uint64_t received_ = 0;
 };
 
@@ -92,7 +97,7 @@ class TapOut final : public Element {
  public:
   TapOut(ClickContext& context, const std::string& device_name);
   std::string className() const override { return "TapOut"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   std::uint64_t delivered() const { return delivered_; }
 
@@ -110,7 +115,7 @@ class UmlSwitch final : public Element {
  public:
   explicit UmlSwitch(ClickContext& context);
   std::string className() const override { return "UmlSwitch"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   /// The routing daemon's receive hook.
   void setUpcall(std::function<void(packet::Packet)> upcall) {
@@ -126,6 +131,8 @@ class UmlSwitch final : public Element {
  private:
   ClickContext& context_;
   std::function<void(packet::Packet)> upcall_;
+  /// Daemon packets awaiting their process job (see TapIn::pending_).
+  sim::FifoRing<packet::Packet> pending_;
   std::uint64_t to_uml_ = 0;
   std::uint64_t from_uml_ = 0;
 };
@@ -137,7 +144,7 @@ class LocalDemux final : public Element {
  public:
   LocalDemux() = default;
   std::string className() const override { return "LocalDemux"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   void addLocalAddress(packet::IpAddress addr) { local_.insert(addr); }
   bool isLocal(packet::IpAddress addr) const { return local_.count(addr) != 0; }
@@ -152,7 +159,7 @@ class DecIpTtl final : public Element {
  public:
   DecIpTtl() = default;
   std::string className() const override { return "DecIpTtl"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   std::uint64_t expired() const { return expired_; }
 
@@ -163,19 +170,37 @@ class DecIpTtl final : public Element {
 /// Longest-prefix-match routing: annotates the packet with the next hop
 /// and emits it on the entry's port.  Misses are counted and dropped.
 /// Configuration arguments are entries of the form "prefix gateway port".
+///
+/// A small direct-mapped cache of recent destinations sits in front of
+/// the trie.  Each slot remembers the Fib generation it was filled at,
+/// so any FIB change (through fib() too) invalidates it before the next
+/// packet.  The cache lives here rather than in Fib so Fib::lookup stays
+/// const and pure for the forwarding-loop audits, and it is touched only
+/// by the lane that runs this element's node.
 class LookupIPRoute final : public Element {
  public:
   LookupIPRoute() = default;
   explicit LookupIPRoute(const std::vector<std::string>& route_args);
   std::string className() const override { return "LookupIPRoute"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   Fib& fib() { return fib_; }
   std::uint64_t misses() const { return misses_; }
 
  private:
+  static constexpr int kCacheBits = 6;  // 64 slots
+  struct CacheSlot {
+    std::uint32_t dst = 0;
+    std::uint64_t generation = ~std::uint64_t{0};  // never a Fib generation
+    const FibEntry* entry = nullptr;                // nullptr: cached miss
+  };
+
+  /// fib_.lookup(dst), answered from the cache when current.
+  const FibEntry* route(packet::IpAddress dst);
+
   Fib fib_;
   std::uint64_t misses_ = 0;
+  std::array<CacheSlot, std::size_t{1} << kCacheBits> cache_{};
 };
 
 /// Maps the next-hop annotation (a virtual interface address on a
@@ -185,7 +210,7 @@ class EncapTable final : public Element {
  public:
   EncapTable() = default;
   std::string className() const override { return "EncapTable"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   void addMapping(packet::IpAddress next_hop, packet::IpAddress node_addr,
                   std::uint16_t port);
@@ -214,7 +239,7 @@ class Napt final : public Element {
   Napt(ClickContext& context, packet::IpAddress public_addr);
   ~Napt() override;
   std::string className() const override { return "Napt"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   std::size_t activeMappings() const { return forward_.size(); }
   std::uint64_t translatedOut() const { return translated_out_; }
@@ -243,6 +268,9 @@ class Napt final : public Element {
   std::map<FlowKey, std::uint16_t> forward_;
   std::map<std::uint16_t, Origin> reverse_;
   std::vector<std::pair<packet::IpProto, std::uint16_t>> captures_;
+  /// Translated return packets awaiting their process job (see
+  /// TapIn::pending_).
+  sim::FifoRing<packet::Packet> pending_;
   std::uint64_t translated_out_ = 0;
   std::uint64_t translated_back_ = 0;
   std::uint64_t untranslatable_ = 0;
@@ -261,7 +289,7 @@ class Shaper final : public Element {
   Shaper(ClickContext& context, double rate_bps, std::size_t bucket_bytes,
          std::size_t queue_bytes = kDefaultQueueBytes);
   std::string className() const override { return "Shaper"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   double rateBps() const { return rate_bps_; }
   void setRateBps(double rate) { rate_bps_ = rate; }
@@ -296,7 +324,7 @@ class DropFilter final : public Element {
  public:
   DropFilter() = default;
   std::string className() const override { return "DropFilter"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   void block(packet::IpAddress addr) { blocked_.insert(addr); }
   void unblock(packet::IpAddress addr) { blocked_.erase(addr); }
@@ -318,7 +346,7 @@ class IcmpTimeExceeded final : public Element {
  public:
   explicit IcmpTimeExceeded(packet::IpAddress reporter) : reporter_(reporter) {}
   std::string className() const override { return "IcmpTimeExceeded"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   std::uint64_t generated() const { return generated_; }
 
@@ -332,7 +360,7 @@ class Counter final : public Element {
  public:
   Counter() = default;
   std::string className() const override { return "Counter"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   std::uint64_t packets() const { return packets_; }
   std::uint64_t bytes() const { return bytes_; }
@@ -348,7 +376,7 @@ class Discard final : public Element {
  public:
   Discard() = default;
   std::string className() const override { return "Discard"; }
-  void push(int, packet::Packet) override { ++count_; }
+  void push(int, packet::Packet&&) override { ++count_; }
   std::uint64_t count() const { return count_; }
 
  private:
@@ -362,7 +390,7 @@ class Classifier final : public Element {
  public:
   explicit Classifier(std::vector<std::string> patterns);
   std::string className() const override { return "Classifier"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   std::uint64_t unmatched() const { return unmatched_; }
 

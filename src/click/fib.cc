@@ -1,5 +1,7 @@
 #include "click/fib.h"
 
+#include <vector>
+
 namespace vini::click {
 
 Fib::Fib() : root_(std::make_unique<Node>()) {}
@@ -15,6 +17,7 @@ void Fib::addRoute(const FibEntry& entry) {
   }
   if (!node->entry) ++size_;
   node->entry = entry;
+  ++generation_;
 }
 
 bool Fib::removeRoute(const packet::Prefix& prefix) {
@@ -28,17 +31,18 @@ bool Fib::removeRoute(const packet::Prefix& prefix) {
   if (!node->entry) return false;
   node->entry.reset();
   --size_;
+  ++generation_;
   return true;
 }
 
-std::optional<FibEntry> Fib::lookup(packet::IpAddress dst) const {
+const FibEntry* Fib::lookup(packet::IpAddress dst) const {
   const std::uint32_t addr = dst.value();
   const Node* node = root_.get();
-  std::optional<FibEntry> best = node->entry;
-  for (int depth = 0; depth < 32 && node; ++depth) {
-    const int bit = (addr >> (31 - depth)) & 1;
-    node = node->child[bit].get();
-    if (node && node->entry) best = node->entry;
+  const FibEntry* best = node->entry ? &*node->entry : nullptr;
+  for (int depth = 0; depth < 32; ++depth) {
+    node = node->child[(addr >> (31 - depth)) & 1].get();
+    if (!node) break;
+    if (node->entry) best = &*node->entry;
   }
   return best;
 }
@@ -58,6 +62,7 @@ void Fib::forEach(const std::function<void(const FibEntry&)>& visit) const {
 void Fib::clear() {
   root_ = std::make_unique<Node>();
   size_ = 0;
+  ++generation_;
 }
 
 }  // namespace vini::click

@@ -12,7 +12,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "packet/ip_address.h"
 
@@ -38,8 +37,13 @@ class Fib {
   /// Remove the entry for exactly `prefix`; returns true if present.
   bool removeRoute(const packet::Prefix& prefix);
 
-  /// Longest-prefix match.
-  std::optional<FibEntry> lookup(packet::IpAddress dst) const;
+  /// Longest-prefix match; nullptr on a miss.  The entry stays valid
+  /// until the next addRoute, removeRoute or clear.
+  const FibEntry* lookup(packet::IpAddress dst) const;
+
+  /// Bumped by every mutation (add, successful remove, clear), so a
+  /// cached lookup result is current iff its generation still matches.
+  std::uint64_t generation() const { return generation_; }
 
   /// Visit every installed entry (order: trie preorder).
   void forEach(const std::function<void(const FibEntry&)>& visit) const;
@@ -55,6 +59,7 @@ class Fib {
 
   std::unique_ptr<Node> root_;
   std::size_t size_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace vini::click

@@ -25,7 +25,7 @@ std::uint64_t FlatLabelRoute::ownerOf(std::uint64_t key) const {
   return best;
 }
 
-void FlatLabelRoute::push(int, packet::Packet p) {
+void FlatLabelRoute::push(int, packet::Packet&& p) {
   const std::uint64_t owner = ownerOf(p.meta.flow_id);
   if (owner == own_label_) {
     output(1, std::move(p));  // we own the key: local delivery

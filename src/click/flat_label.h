@@ -34,7 +34,7 @@ class FlatLabelRoute final : public Element {
 
   /// The key is carried in meta.flow_id.  Output 0: toward a tunnel
   /// (encap annotations set); output 1: this node owns the key.
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   /// The label that owns `key` from this node's view (itself or a peer).
   std::uint64_t ownerOf(std::uint64_t key) const;

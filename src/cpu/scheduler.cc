@@ -27,10 +27,10 @@ Process::Process(Scheduler& sched, ProcessConfig config)
 
 Process::~Process() = default;
 
-void Process::execute(sim::Duration reference_cpu_cost, std::function<void()> done) {
+void Process::execute(sim::Duration reference_cpu_cost, JobFn done) {
   const auto scaled = static_cast<sim::Duration>(
       static_cast<double>(reference_cpu_cost) * sched_.config().speed_factor);
-  jobs_.push_back(Job{std::max<sim::Duration>(scaled, 0), std::move(done)});
+  jobs_.push(Job{std::move(done), std::max<sim::Duration>(scaled, 0)});
   VINI_OBS_INC(m_jobs_);
   if (!running_) {
     running_ = true;
@@ -66,9 +66,10 @@ void Process::runSlice() {
   sched_.queue().scheduleAfter(chunk, "cpu.scheduler", node_tag_,
                                [this, job_done] {
     if (job_done) {
-      auto done = std::move(jobs_.front().done);
-      jobs_.pop_front();
-      if (done) done();
+      // Popped before it runs: the completion may submit jobs, and a
+      // growing ring relocates its slots.
+      Job job = jobs_.pop();
+      if (job.done) job.done();
     }
     if (jobs_.empty()) {
       running_ = false;

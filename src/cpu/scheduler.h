@@ -22,15 +22,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "obs/obs.h"
+#include "sim/callback.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
+#include "sim/ring.h"
 #include "sim/time.h"
 
 namespace vini::cpu {
@@ -103,6 +103,13 @@ class Scheduler;
 /// like the Click forwarder.
 class Process {
  public:
+  /// A job's completion, stored inline in its ring slot: submitting a
+  /// job never allocates, and a capture that does not fit is a compile
+  /// error.  40 bytes hold the largest job captures (a routing
+  /// message's `[this, payload, vif, from]`); Click ingress jobs keep
+  /// their packet in the element and capture little more than `this`.
+  using JobFn = sim::InlineCallback<40, /*HeapFallback=*/false>;
+
   Process(Scheduler& sched, ProcessConfig config);
   ~Process();
 
@@ -111,7 +118,7 @@ class Process {
 
   /// Submit one unit of work.  `reference_cpu_cost` is the cost on the
   /// reference machine; `done` runs when the work completes.
-  void execute(sim::Duration reference_cpu_cost, std::function<void()> done);
+  void execute(sim::Duration reference_cpu_cost, JobFn done);
 
   /// True if no work is queued or running.
   bool idle() const { return !running_ && jobs_.empty(); }
@@ -133,8 +140,8 @@ class Process {
   friend class Scheduler;
 
   struct Job {
+    JobFn done;
     sim::Duration remaining = 0;  // already speed-scaled
-    std::function<void()> done;
   };
 
   void wakeup();
@@ -146,7 +153,7 @@ class Process {
   std::string timeline_track_;
   /// Node attribution for scheduled slices (shard-readiness telemetry).
   sim::NodeTag node_tag_ = sim::kNoNode;
-  std::deque<Job> jobs_;
+  sim::FifoRing<Job> jobs_;
   bool running_ = false;
   sim::Duration quantum_left_ = 0;
   sim::Duration consumed_ = 0;

@@ -47,7 +47,7 @@ void auditForwardingLoops(topo::World& world, check::Report& report) {
       overlay::IiasRouter* cur = src.get();
       std::unordered_set<overlay::IiasRouter*> visited{cur};
       while (true) {
-        const auto entry = cur->fibElement().fib().lookup(target);
+        const auto* entry = cur->fibElement().fib().lookup(target);
         if (!entry) break;           // blackhole: lost, but not looping
         if (entry->port != 0) break; // delivered off the tunnel mesh
         if (entry->next_hop.isZero()) break;

@@ -334,7 +334,7 @@ void MigrationManager::auditNoForwardingLoop(const std::string& context) {
       overlay::IiasRouter* cur = src.get();
       std::unordered_set<std::string> visited{cur->vnode().name()};
       while (true) {
-        const auto entry = cur->fibElement().fib().lookup(target);
+        const auto* entry = cur->fibElement().fib().lookup(target);
         if (!entry) break;            // blackhole: lossy, but not looping
         if (entry->port != 0) break;  // delivered off the tunnel mesh
         if (entry->next_hop.isZero()) break;

@@ -239,9 +239,8 @@ void IiasRouter::remapTunnelPeer(packet::IpAddress vif_addr,
 
 void IiasRouter::injectIntoDataPlane(packet::Packet p) {
   const sim::Duration cost = config_.costs.cost(p.ipPacketBytes());
-  click_process_->execute(cost, [this, p = std::move(p)]() mutable {
-    rt_->push(0, std::move(p));
-  });
+  injected_.push(std::move(p));
+  click_process_->execute(cost, [this] { rt_->push(0, injected_.pop()); });
 }
 
 bool IiasRouter::locallyAttachedConflict(const packet::Prefix& prefix) const {

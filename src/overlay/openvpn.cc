@@ -117,7 +117,7 @@ void OpenVpnServer::onDatagram(packet::Packet p) {
   router_->injectIntoDataPlane(*p.inner);
 }
 
-void OpenVpnServer::EgressElement::push(int, packet::Packet p) {
+void OpenVpnServer::EgressElement::push(int, packet::Packet&& p) {
   auto it = server_.by_overlay_.find(p.ip.dst);
   if (it == server_.by_overlay_.end()) {
     VINI_OBS_ROOT_DROP(p.meta.trace_id, "no_vpn_session");

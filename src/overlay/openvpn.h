@@ -108,7 +108,7 @@ class OpenVpnServer {
    public:
     explicit EgressElement(OpenVpnServer& server) : server_(server) {}
     std::string className() const override { return "OpenVpnEgress"; }
-    void push(int, packet::Packet p) override;
+    void push(int, packet::Packet&& p) override;
     std::uint64_t count() const { return count_; }
 
    private:

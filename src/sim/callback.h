@@ -8,6 +8,8 @@
 // in the bench_engine profile.  InlineCallback stores captures up to
 // `InlineBytes` directly in the event record (slab storage inside
 // EventQueue), falling back to the heap only for oversized captures.
+// With `HeapFallback` false an oversized capture is a compile error
+// instead, for holders that promise never to allocate.
 //
 // Differences from std::function, all deliberate:
 //   * move-only (events are scheduled once and fired once; copying a
@@ -23,7 +25,7 @@
 
 namespace vini::sim {
 
-template <std::size_t InlineBytes>
+template <std::size_t InlineBytes, bool HeapFallback = true>
 class InlineCallback {
  public:
   InlineCallback() noexcept = default;
@@ -39,6 +41,8 @@ class InlineCallback {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       ops_ = inlineOps<Fn>();
     } else {
+      static_assert(HeapFallback || sizeof(Fn) == 0,
+                    "capture does not fit this callback's inline storage");
       ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
       ops_ = heapOps<Fn>();
     }

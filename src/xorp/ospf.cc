@@ -119,7 +119,7 @@ bool OspfProcess::timersQuiet() const {
   return true;
 }
 
-void OspfProcess::runCharged(sim::Duration cost, std::function<void()> work) {
+void OspfProcess::runCharged(sim::Duration cost, cpu::Process::JobFn work) {
   if (process_) {
     process_->execute(cost, std::move(work));
   } else {

@@ -139,7 +139,7 @@ class OspfProcess {
   };
 
   // Work scheduling through the (optional) CPU process.
-  void runCharged(sim::Duration cost, std::function<void()> work);
+  void runCharged(sim::Duration cost, cpu::Process::JobFn work);
 
   void sendHellos();
   void handleHello(Interface& iface, const OspfHello& hello);

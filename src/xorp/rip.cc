@@ -116,7 +116,7 @@ void RipProcess::restore(const Checkpoint& checkpoint) {
   }
 }
 
-void RipProcess::runCharged(sim::Duration cost, std::function<void()> work) {
+void RipProcess::runCharged(sim::Duration cost, cpu::Process::JobFn work) {
   if (process_) {
     process_->execute(cost, std::move(work));
   } else {

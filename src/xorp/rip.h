@@ -92,7 +92,7 @@ class RipProcess {
     sim::Time last_heard = 0;
   };
 
-  void runCharged(sim::Duration cost, std::function<void()> work);
+  void runCharged(sim::Duration cost, cpu::Process::JobFn work);
   void sendUpdates();
   void expireRoutes();
   void install(const packet::Prefix& prefix, const Entry& entry);

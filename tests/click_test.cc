@@ -50,7 +50,7 @@ TEST(Fib, RemoveRestoresShorterMatch) {
 
 TEST(Fib, EmptyLookupMisses) {
   Fib fib;
-  EXPECT_FALSE(fib.lookup(IpAddress(10, 0, 0, 1)).has_value());
+  EXPECT_EQ(fib.lookup(IpAddress(10, 0, 0, 1)), nullptr);
 }
 
 TEST(Fib, ReplaceExistingPrefixKeepsSize) {
@@ -102,11 +102,11 @@ TEST(Fib, PropertyMatchesLinearReference) {
         best = &r;
       }
     }
-    const auto got = fib.lookup(addr);
+    const FibEntry* got = fib.lookup(addr);
     if (!best) {
-      EXPECT_FALSE(got.has_value());
+      EXPECT_EQ(got, nullptr);
     } else {
-      ASSERT_TRUE(got.has_value());
+      ASSERT_NE(got, nullptr);
       EXPECT_EQ(got->prefix, best->prefix);
       EXPECT_EQ(got->port, best->port);
     }
@@ -132,7 +132,7 @@ TEST(Fib, ForEachVisitsAllEntries) {
 class Capture final : public Element {
  public:
   std::string className() const override { return "Capture"; }
-  void push(int port, Packet p) override {
+  void push(int port, Packet&& p) override {
     packets.emplace_back(port, std::move(p));
   }
   std::vector<std::pair<int, Packet>> packets;
@@ -168,6 +168,105 @@ TEST(LookupIPRouteElement, ConfiguredFromArgs) {
   rt.connectOutput(2, out2, 0);
   rt.push(0, udpTo(IpAddress(64, 236, 16, 20)));
   ASSERT_EQ(out2.packets.size(), 1u);
+}
+
+TEST(LookupIPRouteElement, RouteCacheSeesEveryFibChangeOnTheNextPacket) {
+  // The element caches recent destinations; each FIB change must show
+  // on the very next packet to a cached destination.
+  LookupIPRoute rt;
+  Capture out;
+  for (int port = 0; port < 3; ++port) rt.connectOutput(port, out, port);
+  const IpAddress dst(10, 1, 2, 3);
+  auto send = [&] {
+    out.packets.clear();
+    rt.push(0, udpTo(dst));
+  };
+  auto routedTo = [&](int port, IpAddress next_hop) {
+    return out.packets.size() == 1 && out.packets[0].first == port &&
+           out.packets[0].second.meta.next_hop == next_hop;
+  };
+
+  send();  // a cached miss
+  EXPECT_TRUE(out.packets.empty());
+  EXPECT_EQ(rt.misses(), 1u);
+
+  rt.fib().addRoute({Prefix::mustParse("10.0.0.0/8"), IpAddress(1, 1, 1, 1), 0});
+  send();
+  EXPECT_TRUE(routedTo(0, IpAddress(1, 1, 1, 1)));
+  send();  // served from the cache
+  EXPECT_TRUE(routedTo(0, IpAddress(1, 1, 1, 1)));
+
+  // A more-specific prefix.
+  rt.fib().addRoute({Prefix::mustParse("10.1.0.0/16"), IpAddress(2, 2, 2, 2), 1});
+  send();
+  EXPECT_TRUE(routedTo(1, IpAddress(2, 2, 2, 2)));
+
+  // The same prefix re-added with another port and gateway.
+  rt.fib().addRoute({Prefix::mustParse("10.1.0.0/16"), IpAddress(3, 3, 3, 3), 2});
+  send();
+  EXPECT_TRUE(routedTo(2, IpAddress(3, 3, 3, 3)));
+
+  // Removing it falls back to the shorter match.
+  ASSERT_TRUE(rt.fib().removeRoute(Prefix::mustParse("10.1.0.0/16")));
+  send();
+  EXPECT_TRUE(routedTo(0, IpAddress(1, 1, 1, 1)));
+
+  // An unrelated change elsewhere leaves the answer alone.
+  rt.fib().addRoute({Prefix::mustParse("192.168.0.0/16"), {}, 1});
+  send();
+  EXPECT_TRUE(routedTo(0, IpAddress(1, 1, 1, 1)));
+
+  rt.fib().clear();
+  send();
+  EXPECT_TRUE(out.packets.empty());
+  EXPECT_EQ(rt.misses(), 2u);
+}
+
+TEST(LookupIPRouteElement, RoutesLikeTheTrieUnderRandomChurn) {
+  // Property: with FIB changes interleaved among packets to a small set
+  // of destinations (many share cache slots), the element routes every
+  // packet exactly as an uncached Fib::lookup would.
+  std::mt19937 rng(13);
+  LookupIPRoute rt;
+  Capture out;
+  for (int port = 0; port < 4; ++port) rt.connectOutput(port, out, port);
+  std::vector<IpAddress> dsts;
+  for (int i = 0; i < 200; ++i) {
+    dsts.emplace_back(std::uint8_t{10}, static_cast<std::uint8_t>(rng() % 4),
+                      static_cast<std::uint8_t>(rng() % 4),
+                      static_cast<std::uint8_t>(rng() % 256));
+  }
+  std::vector<Prefix> prefixes;
+  for (int len = 8; len <= 24; len += 8) {
+    for (int i = 0; i < 4; ++i) prefixes.push_back(Prefix(dsts[rng() % 200], len));
+  }
+  std::uint64_t expected_misses = 0;
+  for (int step = 0; step < 5000; ++step) {
+    const unsigned action = rng() % 100;
+    if (action < 5) {
+      rt.fib().addRoute({prefixes[rng() % prefixes.size()],
+                         IpAddress(static_cast<std::uint32_t>(rng())),
+                         static_cast<int>(rng() % 4)});
+    } else if (action < 9) {
+      rt.fib().removeRoute(prefixes[rng() % prefixes.size()]);
+    } else if (action < 10) {
+      rt.fib().clear();
+    }
+    const IpAddress dst = dsts[rng() % dsts.size()];
+    const FibEntry* want = rt.fib().lookup(dst);
+    out.packets.clear();
+    rt.push(0, udpTo(dst));
+    if (want == nullptr) {
+      ++expected_misses;
+      EXPECT_TRUE(out.packets.empty());
+      continue;
+    }
+    ASSERT_EQ(out.packets.size(), 1u);
+    EXPECT_EQ(out.packets[0].first, want->port);
+    EXPECT_EQ(out.packets[0].second.meta.next_hop,
+              want->next_hop.isZero() ? dst : want->next_hop);
+  }
+  EXPECT_EQ(rt.misses(), expected_misses);
 }
 
 TEST(EncapTableElement, MapsNextHopToTunnelEndpoint) {
@@ -236,16 +335,16 @@ TEST(DropFilterElement, BlocksByEncapDestination) {
 
   Packet p = udpTo(IpAddress(10, 1, 5, 5));
   p.meta.encap_dst = peer;
-  filter.push(0, p);
+  filter.push(0, Packet(p));
   EXPECT_EQ(out.packets.size(), 1u);
 
   filter.block(peer);
-  filter.push(0, p);
+  filter.push(0, Packet(p));
   EXPECT_EQ(out.packets.size(), 1u);
   EXPECT_EQ(filter.dropped(), 1u);
 
   filter.unblock(peer);
-  filter.push(0, p);
+  filter.push(0, Packet(p));
   EXPECT_EQ(out.packets.size(), 2u);
 }
 

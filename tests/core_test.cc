@@ -298,13 +298,32 @@ TEST(ShardToken, SameThreadMayAssertRepeatedly) {
 }
 
 TEST(ShardToken, ForeignThreadAborts) {
+  // Ownership is enforced only inside a parallel window, so the death
+  // statement opens one (in the death-test child, which alone dies),
+  // claims the token there and touches it from another thread.
   ShardToken token;
-  token.assertHeld();
   EXPECT_DEATH(
       [&token] {
+        beginShardParallelPhase();
+        token.assertHeld();
         std::thread([&token] { token.assertHeld(); }).join();
+        endShardParallelPhase();
       }(),
-      "");
+      "ShardToken ownership violation");
+}
+
+TEST(ShardToken, ForeignThreadMayReclaimInSerialPhase) {
+  // Outside a parallel window a phase is single-threaded by
+  // construction, so ownership migrates freely between threads, and a
+  // claim from an earlier window is stale once it closes.
+  ShardToken token;
+  token.assertHeld();
+  std::thread([&token] { token.assertHeld(); }).join();
+  token.assertHeld();  // and back
+  beginShardParallelPhase();
+  std::thread([&token] { token.assertHeld(); }).join();
+  endShardParallelPhase();
+  token.assertHeld();  // the window's claim died with the window
 }
 #endif
 

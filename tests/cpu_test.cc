@@ -2,6 +2,9 @@
 // priority, accounting — the Section 4.1.1/4.1.2 machinery.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "cpu/scheduler.h"
 #include "sim/stats.h"
 
@@ -61,6 +64,89 @@ TEST(Process, JobsRunFifo) {
   q.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_TRUE(p.idle());
+}
+
+TEST(Process, JobRingStaysFifoAcrossGrowthAndWraparound) {
+  // The job queue is a power-of-two ring that starts at 8 slots.  Every
+  // completion submits two more jobs until 300 exist, so the backlog
+  // climbs to ~150 (the ring doubles four times while its head is mid
+  // ring) and then drains.  Order and queue accounting are checked at
+  // every completion.
+  struct Harness {
+    Process* p = nullptr;
+    std::vector<int> order;
+    int next_id = 0;
+    int finished = 0;
+
+    void submit() {
+      const int id = next_id++;
+      p->execute(10 * kMicrosecond, [this, id] { complete(id); });
+    }
+    void complete(int id) {
+      order.push_back(id);
+      ++finished;
+      // A job is popped before its completion runs: what is queued now
+      // is every job submitted but not yet finished.
+      EXPECT_EQ(p->queuedJobs(), static_cast<std::size_t>(next_id - finished));
+      EXPECT_FALSE(p->idle());  // running until this event returns
+      if (next_id < 300) {
+        submit();
+        submit();
+      }
+    }
+  };
+  sim::EventQueue q;
+  Scheduler sched(q, dedicated());
+  Harness h;
+  h.p = &sched.createProcess({});
+  for (int i = 0; i < 5; ++i) h.submit();
+  EXPECT_EQ(h.p->queuedJobs(), 5u);
+  EXPECT_FALSE(h.p->idle());
+  q.run();
+  ASSERT_EQ(h.finished, h.next_id);
+  EXPECT_GE(h.finished, 300);
+  std::vector<int> expected(static_cast<std::size_t>(h.finished));
+  for (int i = 0; i < h.finished; ++i) expected[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(h.order, expected);
+  EXPECT_EQ(h.p->queuedJobs(), 0u);
+  EXPECT_TRUE(h.p->idle());
+
+  // Reuse after draining: the ring keeps its slots and its order.
+  h.order.clear();
+  for (int i = 0; i < 3; ++i) {
+    h.p->execute(kMicrosecond, [&h, i] { h.order.push_back(1000 + i); });
+  }
+  EXPECT_EQ(h.p->queuedJobs(), 3u);
+  q.run();
+  EXPECT_EQ(h.order, (std::vector<int>{1000, 1001, 1002}));
+  EXPECT_TRUE(h.p->idle());
+}
+
+TEST(FifoRing, PopsInPushOrderAcrossGrowthAndWraparound) {
+  sim::FifoRing<std::unique_ptr<int>> ring;
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), 0u);  // no storage until first use
+  int pushed = 0;
+  int popped = 0;
+  // Alternate bursts of pushes and pops so the head walks around the
+  // ring at every size from 8 to 128 slots.
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < round % 7 + 3; ++i) {
+      ring.push(std::make_unique<int>(pushed++));
+    }
+    for (int i = 0; i < round % 5 + 1 && !ring.empty(); ++i) {
+      EXPECT_EQ(*ring.front(), popped);
+      EXPECT_EQ(*ring.pop(), popped);
+      ++popped;
+    }
+    EXPECT_EQ(ring.size(), static_cast<std::size_t>(pushed - popped));
+    const std::size_t cap = ring.capacity();
+    EXPECT_EQ(cap & (cap - 1), 0u);  // a power of two
+    EXPECT_GE(cap, ring.size());
+  }
+  EXPECT_GT(ring.capacity(), 64u);
+  while (!ring.empty()) EXPECT_EQ(*ring.pop(), popped++);
+  EXPECT_EQ(popped, pushed);
 }
 
 TEST(Process, AccountingTracksConsumedCpu) {
