@@ -16,7 +16,6 @@
 #include "packet/checksum.h"
 #include "packet/packet.h"
 #include "sim/event_queue.h"
-#include "sim/ring.h"
 #include "xorp/rib.h"
 
 namespace {
@@ -84,26 +83,25 @@ BENCHMARK(BM_FibLookupFlows)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_ProcessJobs(benchmark::State& state) {
   // ns per packet-sized job through the CPU model: the Click ingress
-  // pattern of a packet parked in a ring and a job capturing only its
-  // owner, 1024 jobs per iteration, run to completion on a dedicated
-  // machine (each job is two events: wakeup/slice, completion).
-  struct Ingress {
-    vini::sim::FifoRing<Packet> pending;
-    std::size_t bytes = 0;
-  };
+  // pattern (click::ProcessInbox) of a packet waiting in the inbox and a
+  // job capturing only the inbox, 1024 jobs per iteration, run to
+  // completion on a dedicated machine (each job is two events:
+  // wakeup/slice, completion).
   const Packet templ = Packet::udp(IpAddress(10, 1, 0, 2),
                                    IpAddress(10, 1, 1, 2), 1, 2, 1000);
   vini::sim::EventQueue q;
   vini::cpu::Scheduler sched(q, vini::cpu::SchedulerConfig{});
-  vini::cpu::Process& proc = sched.createProcess({});
-  Ingress in;
+  vini::click::ClickContext context;
+  context.process = &sched.createProcess({});
+  vini::click::ProcessInbox inbox;
+  std::size_t bytes = 0;
   for (auto _ : state) {
     for (int i = 0; i < 1024; ++i) {
-      in.pending.push(Packet(templ));
-      proc.execute(1000, [&in] { in.bytes += in.pending.pop().ipPacketBytes(); });
+      inbox.submit(context, Packet(templ),
+                   [&bytes](Packet&& p) { bytes += p.ipPacketBytes(); });
     }
     q.run();
-    benchmark::DoNotOptimize(in.bytes);
+    benchmark::DoNotOptimize(bytes);
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }

@@ -21,6 +21,7 @@
 #include "cpu/scheduler.h"
 #include "packet/packet.h"
 #include "sim/event_queue.h"
+#include "sim/ring.h"
 #include "tcpip/host_stack.h"
 
 namespace vini::click {
@@ -52,6 +53,26 @@ struct ClickContext {
   ClickCostModel costs;
   /// Owning slice (for VNET-style traffic attribution); -1 = none.
   int slice_id = -1;
+};
+
+/// Packets entering the graph through the Click process.  submit()
+/// charges the packet's forwarding cost as one process job; when that
+/// job completes, `deliver` gets the packet.  The packet waits here
+/// rather than in the job, so the job captures only this inbox and
+/// `deliver` and fits cpu::Process::JobFn without allocating.
+/// Process jobs complete in submission order, so each job takes the
+/// oldest waiting packet, the one it was submitted with.
+class ProcessInbox {
+ public:
+  template <typename Deliver>
+  void submit(const ClickContext& context, packet::Packet&& p, Deliver deliver) {
+    const sim::Duration cost = context.costs.cost(p.ipPacketBytes());
+    waiting_.push(std::move(p));
+    context.process->execute(cost, [this, deliver] { deliver(waiting_.pop()); });
+  }
+
+ private:
+  sim::FifoRing<packet::Packet> waiting_;
 };
 
 class Element {

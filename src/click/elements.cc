@@ -163,11 +163,9 @@ TapIn::TapIn(ClickContext& context, const std::string& device_name)
   dev->setReader([this](packet::Packet p) {
     // The kernel handed us a packet via /dev/net/tun; reading it is a
     // syscall round like any other forwarding operation.
-    const sim::Duration cost = context_.costs.cost(p.ipPacketBytes());
-    pending_.push(std::move(p));
-    context_.process->execute(cost, [this] {
+    inbox_.submit(context_, std::move(p), [this](packet::Packet&& q) {
       ++received_;
-      output(0, pending_.pop());
+      output(0, std::move(q));
     });
   });
 }
@@ -196,11 +194,9 @@ void UmlSwitch::push(int, packet::Packet&& p) {
 }
 
 void UmlSwitch::injectFromUml(packet::Packet p) {
-  const sim::Duration cost = context_.costs.cost(p.ipPacketBytes());
-  pending_.push(std::move(p));
-  context_.process->execute(cost, [this] {
+  inbox_.submit(context_, std::move(p), [this](packet::Packet&& q) {
     ++from_uml_;
-    output(0, pending_.pop());
+    output(0, std::move(q));
   });
 }
 
@@ -382,9 +378,8 @@ void Napt::onReturnPacket(packet::Packet p, std::uint16_t nat_port) {
   }
   ++translated_back_;
   // Return traffic re-enters the overlay through the Click process.
-  const sim::Duration cost = context_.costs.cost(p.ipPacketBytes());
-  pending_.push(std::move(p));
-  context_.process->execute(cost, [this] { output(0, pending_.pop()); });
+  inbox_.submit(context_, std::move(p),
+                [this](packet::Packet&& q) { output(0, std::move(q)); });
 }
 
 // ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@
 #include "click/fib.h"
 #include "obs/obs.h"
 #include "sim/event_queue.h"
-#include "sim/ring.h"
 
 namespace vini::click {
 
@@ -85,9 +84,7 @@ class TapIn final : public Element {
 
  private:
   ClickContext& context_;
-  /// Packets read but not yet processed, one per queued process job
-  /// (both FIFO), so the job itself captures only `this`.
-  sim::FifoRing<packet::Packet> pending_;
+  ProcessInbox inbox_;
   std::uint64_t received_ = 0;
 };
 
@@ -131,8 +128,7 @@ class UmlSwitch final : public Element {
  private:
   ClickContext& context_;
   std::function<void(packet::Packet)> upcall_;
-  /// Daemon packets awaiting their process job (see TapIn::pending_).
-  sim::FifoRing<packet::Packet> pending_;
+  ProcessInbox inbox_;
   std::uint64_t to_uml_ = 0;
   std::uint64_t from_uml_ = 0;
 };
@@ -268,9 +264,7 @@ class Napt final : public Element {
   std::map<FlowKey, std::uint16_t> forward_;
   std::map<std::uint16_t, Origin> reverse_;
   std::vector<std::pair<packet::IpProto, std::uint16_t>> captures_;
-  /// Translated return packets awaiting their process job (see
-  /// TapIn::pending_).
-  sim::FifoRing<packet::Packet> pending_;
+  ProcessInbox inbox_;
   std::uint64_t translated_out_ = 0;
   std::uint64_t translated_back_ = 0;
   std::uint64_t untranslatable_ = 0;

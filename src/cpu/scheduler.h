@@ -107,7 +107,8 @@ class Process {
   /// job never allocates, and a capture that does not fit is a compile
   /// error.  40 bytes hold the largest job captures (a routing
   /// message's `[this, payload, vif, from]`); Click ingress jobs keep
-  /// their packet in the element and capture little more than `this`.
+  /// their packet in a click::ProcessInbox and capture only the inbox
+  /// and its delivery callable.
   using JobFn = sim::InlineCallback<40, /*HeapFallback=*/false>;
 
   Process(Scheduler& sched, ProcessConfig config);

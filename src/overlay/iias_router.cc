@@ -238,9 +238,8 @@ void IiasRouter::remapTunnelPeer(packet::IpAddress vif_addr,
 }
 
 void IiasRouter::injectIntoDataPlane(packet::Packet p) {
-  const sim::Duration cost = config_.costs.cost(p.ipPacketBytes());
-  injected_.push(std::move(p));
-  click_process_->execute(cost, [this] { rt_->push(0, injected_.pop()); });
+  injected_.submit(graph_->context(), std::move(p),
+                   [this](packet::Packet&& q) { rt_->push(0, std::move(q)); });
 }
 
 bool IiasRouter::locallyAttachedConflict(const packet::Prefix& prefix) const {

@@ -27,7 +27,6 @@
 #include "click/elements.h"
 #include "click/graph.h"
 #include "core/slice.h"
-#include "sim/ring.h"
 #include "tcpip/host_stack.h"
 #include "xorp/xorp_instance.h"
 
@@ -144,9 +143,8 @@ class IiasRouter final : public xorp::Fea {
   click::DropFilter* fail_ = nullptr;
   click::Napt* napt_ = nullptr;
 
-  /// OpenVPN packets awaiting their Click process job, one per job (both
-  /// FIFO), so the job captures only `this`.
-  sim::FifoRing<packet::Packet> injected_;
+  /// OpenVPN packets on their way into the data plane.
+  click::ProcessInbox injected_;
 
   bool external_egress_ = false;
   bool detached_ = false;

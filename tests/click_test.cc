@@ -461,6 +461,41 @@ struct GraphWorld {
   }
 };
 
+TEST(ProcessInbox, EachJobDeliversThePacketSubmittedWithIt) {
+  // Two inboxes and a plain job share one process, and a delivery
+  // submits more packets.  Every packet must arrive through its own
+  // inbox, in submission order.
+  struct Inboxes {
+    GraphWorld w;
+    ProcessInbox a;
+    ProcessInbox b;
+    std::vector<std::pair<char, std::uint16_t>> delivered;
+
+    void submit(ProcessInbox& inbox, char name, std::uint16_t id) {
+      inbox.submit(w.context, udp(id), [this, name](Packet&& p) {
+        delivered.emplace_back(name, p.udpHeader()->src_port);
+        if (p.udpHeader()->src_port == 2) {
+          submit(a, 'a', 5);
+          submit(b, 'b', 6);
+        }
+      });
+    }
+    static Packet udp(std::uint16_t id) {
+      return Packet::udp(IpAddress(10, 1, 0, 2), IpAddress(10, 9, 0, 1), id, 2, 100);
+    }
+  } s;
+  s.submit(s.a, 'a', 1);
+  s.w.process->execute(kMillisecond, [&s] { s.delivered.emplace_back('-', 0); });
+  s.submit(s.b, 'b', 2);
+  s.submit(s.a, 'a', 3);
+  s.submit(s.b, 'b', 4);
+  s.w.queue.run();
+  const std::vector<std::pair<char, std::uint16_t>> expected{
+      {'a', 1}, {'-', 0}, {'b', 2}, {'a', 3}, {'b', 4}, {'a', 5}, {'b', 6}};
+  EXPECT_EQ(s.delivered, expected);
+  EXPECT_TRUE(s.w.process->idle());
+}
+
 TEST(RouterGraph, ParsesDeclarationsAndConnections) {
   GraphWorld world;
   RouterGraph graph(world.context);
