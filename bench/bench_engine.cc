@@ -13,6 +13,10 @@
 //   peak event storage    high-water entries resident in the event queue
 //                         (live + cancelled tombstones — the memory the
 //                         engine pins)
+//   critical path         sharded runs: events on the run's critical
+//                         path (EventQueue::criticalPathEvents), and
+//                         predicted_speedup = events / critical path,
+//                         the ceiling the measured schedule allows
 //
 // Results go to BENCH_engine.json so every later PR shows a perf
 // trajectory; scripts/check.sh runs the smoke mode and CI uploads the
@@ -21,24 +25,16 @@
 // readings vary between machines.
 //
 //   bench_engine [--out FILE] [--seconds N] [--flows N] [--threads LIST]
-//                [--profile FILE] [--baseline FILE]
+//                [--baseline FILE]
 //   VINI_SMOKE=1 shrinks the run for CI gating.
 //
 // --threads LIST is a comma-separated sweep of engine worker counts
-// (default "0,1,2,4,8"; smoke "0,2").  0 is the classic serial engine;
+// (default "0,1,2,4,8"; smoke "0,1,2").  0 is the classic serial engine;
 // N >= 1 the sharded engine, whose simulation is byte-identical across
 // every N (threads = 1 is its serial reference, so speedup_vs_1t in the
 // JSON is a like-for-like parallel speedup).  When the sweep includes a
 // threads = 1 run, 4+-thread runs on a >= 6-core machine must clear
 // 1.5x its events/s — the parallel-engine payoff gate.
-//
-// --profile FILE additionally runs the same workload once more with the
-// parallelism profiler attached and writes its deterministic
-// PROFILE_report.json (see obs/parallelism.h) — the shard-readiness
-// artifact CI uploads next to this bench's JSON.  When the sweep
-// measured real parallel runs, the measured speedups are cross-checked
-// against the profiler's predicted ceilings (warn below 50% of
-// predicted).
 //
 // --baseline FILE compares this run's events/s against a checked-in
 // BENCH_engine.json from an earlier commit and fails on a >15%
@@ -59,7 +55,6 @@
 
 #include "app/iperf.h"
 #include "bench_common.h"
-#include "obs/parallelism.h"
 #include "topo/worlds.h"
 
 using namespace vini;
@@ -75,6 +70,7 @@ struct RunResult {
   double wall_seconds = 0.0;
   std::uint64_t peak_pending = 0;
   std::uint64_t peak_storage = 0;
+  std::uint64_t critical_path_events = 0;  // sharded runs only
 
   double eventsPerSec() const {
     return wall_seconds > 0 ? static_cast<double>(events) / wall_seconds : 0.0;
@@ -85,6 +81,12 @@ struct RunResult {
   }
   double simWallRatio() const {
     return wall_seconds > 0 ? sim_seconds / wall_seconds : 0.0;
+  }
+  double predictedSpeedup() const {
+    return critical_path_events > 0 ? static_cast<double>(events) /
+                                          static_cast<double>(
+                                              critical_path_events)
+                                    : 0.0;
   }
 };
 
@@ -100,13 +102,7 @@ std::uint64_t totalTxPackets(const topo::World& world) {
 /// One measured run: build the Abilene mirror, converge the overlay (not
 /// timed — we measure the steady-state hot path, not setup), then
 /// saturate and time it.
-/// `profile_out`, when non-empty, attaches the parallelism profiler to
-/// the measured window and writes its PROFILE_report.json there (the
-/// profiler is passive, but kept off plain timing runs so the
-/// introspection hook never clouds the wall numbers).
-RunResult runOnce(int threads, int flows, int seconds,
-                  const std::string& profile_out = {},
-                  obs::ParallelismProfiler::Report* report_out = nullptr) {
+RunResult runOnce(int threads, int flows, int seconds) {
   RunResult result;
   result.threads = threads;
 
@@ -146,33 +142,18 @@ RunResult runOnce(int threads, int flows, int seconds,
     clients.back()->start(seconds * sim::kSecond);
   }
 
-  obs::ParallelismProfiler profiler;
-  if (!profile_out.empty()) {
-    profiler.setLookahead(world->net.minPropagation());
-    profiler.attach(world->queue);
-  }
-
   const std::uint64_t events_before = world->queue.executedCount();
+  const std::uint64_t critical_before = world->queue.criticalPathEvents();
   const std::uint64_t packets_before = totalTxPackets(*world);
   const auto wall_start = std::chrono::steady_clock::now();
   world->queue.runUntil(t0 + seconds * sim::kSecond);
   const auto wall_end = std::chrono::steady_clock::now();
 
-  if (!profile_out.empty()) {
-    const obs::ParallelismProfiler::Report report =
-        profiler.analyze({2, 4, 8, 16});
-    profiler.detach();
-    std::ofstream out(profile_out);
-    obs::ParallelismProfiler::writeJson(out, report);
-    std::printf("  [profile report written to %s: %llu events, "
-                "cross-node ratio %.4f]\n",
-                profile_out.c_str(),
-                static_cast<unsigned long long>(report.total_events),
-                report.cross_node_ratio);
-    if (report_out) *report_out = report;
-  }
-
   result.events = world->queue.executedCount() - events_before;
+  if (threads >= 1) {
+    result.critical_path_events =
+        world->queue.criticalPathEvents() - critical_before;
+  }
   result.sim_packets = totalTxPackets(*world) - packets_before;
   result.sim_seconds = sim::toSeconds(seconds * sim::kSecond);
   result.wall_seconds =
@@ -261,7 +242,17 @@ int checkBaseline(const std::string& path, const std::vector<RunResult>& runs) {
 }
 
 void writeRunJson(std::ofstream& out, const RunResult& r, bool last) {
-  char buf[768];
+  // Sharded rows add the measured critical path.
+  char critical[160] = "";
+  if (r.threads >= 1) {
+    std::snprintf(critical, sizeof(critical),
+                  ",\n"
+                  "      \"critical_path_events\": %llu,\n"
+                  "      \"predicted_speedup\": %.3f",
+                  static_cast<unsigned long long>(r.critical_path_events),
+                  r.predictedSpeedup());
+  }
+  char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
       "    {\n"
@@ -275,13 +266,14 @@ void writeRunJson(std::ofstream& out, const RunResult& r, bool last) {
       "      \"wall_seconds\": %.6f,\n"
       "      \"sim_wall_ratio\": %.3f,\n"
       "      \"peak_pending_events\": %llu,\n"
-      "      \"peak_event_storage\": %llu\n"
+      "      \"peak_event_storage\": %llu%s\n"
       "    }%s\n",
       r.threads, static_cast<unsigned long long>(r.events), r.eventsPerSec(),
       r.speedup_vs_1t, static_cast<unsigned long long>(r.sim_packets),
       r.packetsPerSec(), r.sim_seconds, r.wall_seconds, r.simWallRatio(),
       static_cast<unsigned long long>(r.peak_pending),
-      static_cast<unsigned long long>(r.peak_storage), last ? "" : ",");
+      static_cast<unsigned long long>(r.peak_storage), critical,
+      last ? "" : ",");
   out << buf;
 }
 
@@ -290,8 +282,7 @@ void writeRunJson(std::ofstream& out, const RunResult& r, bool last) {
 int main(int argc, char** argv) {
   const bool smoke = std::getenv("VINI_SMOKE") != nullptr;
   std::string out_path = "BENCH_engine.json";
-  std::string threads_arg = smoke ? "0,2" : "0,1,2,4,8";
-  std::string profile_path;
+  std::string threads_arg = smoke ? "0,1,2" : "0,1,2,4,8";
   std::string baseline_path;
   int seconds = smoke ? 2 : 10;
   int flows = smoke ? 4 : 8;
@@ -313,15 +304,12 @@ int main(int argc, char** argv) {
       flows = std::atoi(v);
     } else if (const char* v = value("--threads")) {
       threads_arg = v;
-    } else if (const char* v = value("--profile")) {
-      profile_path = v;
     } else if (const char* v = value("--baseline")) {
       baseline_path = v;
     } else {
       std::fprintf(stderr,
                    "usage: bench_engine [--out FILE] [--seconds N] "
-                   "[--flows N] [--threads LIST] [--profile FILE] "
-                   "[--baseline FILE]\n");
+                   "[--flows N] [--threads LIST] [--baseline FILE]\n");
       return 2;
     }
   }
@@ -361,6 +349,11 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.sim_packets), r.packetsPerSec(),
         static_cast<unsigned long long>(r.peak_pending),
         static_cast<unsigned long long>(r.peak_storage));
+    if (r.threads >= 1) {
+      std::printf("    critical path %12llu   (predicted speedup %.2fx)\n",
+                  static_cast<unsigned long long>(r.critical_path_events),
+                  r.predictedSpeedup());
+    }
     runs.push_back(std::move(r));
   }
 
@@ -375,13 +368,6 @@ int main(int argc, char** argv) {
         r.speedup_vs_1t = r.eventsPerSec() / ref.eventsPerSec();
       }
     }
-  }
-
-  // The shard-readiness profile rides a separate run so the profiler's
-  // introspection hook never touches the timed ones.
-  obs::ParallelismProfiler::Report profile_report;
-  if (!profile_path.empty()) {
-    runOnce(/*threads=*/0, flows, seconds, profile_path, &profile_report);
   }
 
   std::ofstream out(out_path);
@@ -403,10 +389,18 @@ int main(int argc, char** argv) {
   // on the thread count.  Sharded runs (threads >= 1) must agree with
   // each other.  (Classic and sharded are different — but each
   // individually deterministic — event orders; see DESIGN.md.)  Wall
-  // time is the only column allowed to differ.
+  // time and the critical path are the only columns allowed to differ,
+  // and one thread runs every event on the critical path.
   const RunResult* ref = nullptr;
   for (const RunResult& r : runs) {
     if (r.threads == 0) continue;
+    if (r.threads == 1 && r.critical_path_events != r.events) {
+      std::fprintf(stderr,
+                   "bench_engine: t1 critical path %llu != %llu events\n",
+                   static_cast<unsigned long long>(r.critical_path_events),
+                   static_cast<unsigned long long>(r.events));
+      return 1;
+    }
     if (!ref) {
       ref = &r;
       continue;
@@ -426,28 +420,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Measured-vs-predicted cross-check: the profiler's CP(k) model gives
-  // a ceiling; landing below half of it flags a scaling problem (windows
-  // too small, barrier overhead, load imbalance) without failing the
-  // bench — machines differ.
-  if (!profile_path.empty()) {
-    for (const RunResult& r : runs) {
-      if (r.threads < 2 || r.speedup_vs_1t <= 0) continue;
-      for (const auto& pred : profile_report.predictions) {
-        if (pred.shards != r.threads || pred.predicted_speedup <= 0) continue;
-        const double frac = r.speedup_vs_1t / pred.predicted_speedup;
-        std::printf("  scaling: threads=%d measured %.2fx vs "
-                    "predicted %.2fx (%.0f%%)\n",
-                    r.threads, r.speedup_vs_1t,
-                    pred.predicted_speedup, 100.0 * frac);
-        if (frac < 0.5) {
-          std::fprintf(stderr,
-                       "bench_engine: WARNING: threads=%d reached "
-                       "only %.0f%% of the predicted %.2fx speedup\n",
-                       r.threads, 100.0 * frac,
-                       pred.predicted_speedup);
-        }
-      }
+  // Measured-vs-predicted: the critical path gives each run's ceiling
+  // on its own schedule; landing below half of it flags a scaling
+  // problem (barrier overhead, load imbalance, too few cores) without
+  // failing the bench — machines differ.
+  for (const RunResult& r : runs) {
+    if (r.threads < 2 || r.speedup_vs_1t <= 0 || r.predictedSpeedup() <= 0) {
+      continue;
+    }
+    const double frac = r.speedup_vs_1t / r.predictedSpeedup();
+    std::printf("  scaling: threads=%d measured %.2fx vs predicted %.2fx "
+                "(%.0f%%)\n",
+                r.threads, r.speedup_vs_1t, r.predictedSpeedup(),
+                100.0 * frac);
+    if (frac < 0.5) {
+      std::fprintf(stderr,
+                   "bench_engine: WARNING: threads=%d reached only %.0f%% "
+                   "of the predicted %.2fx speedup\n",
+                   r.threads, 100.0 * frac, r.predictedSpeedup());
     }
   }
 

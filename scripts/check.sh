@@ -25,18 +25,13 @@
 #      per-track timestamp monotonicity)
 #   5d. engine throughput bench smoke: bench_engine runs the classic and
 #      sharded engines (its internal gate fails unless every sharded
-#      thread count simulates identical event/packet counts) and writes
-#      BENCH_engine.json
+#      thread count simulates identical event/packet counts, and unless
+#      the 1-thread run's critical path equals its event count) and
+#      writes BENCH_engine.json
 #   5e. live-migration chaos smoke: a seeded campaign with the migrate
 #      verb enabled (spare substrate node, V130-V133 audits) must pass
 #      and print byte-identical reports and migration JSON across two
 #      runs; MIGRATION_report.json is the CI artifact
-#   5f. parallelism-ceiling profiler gate: vini_profile --self-test,
-#      then a same-seed double run whose PROFILE_report.json files must
-#      be byte-identical, and a bench_engine --profile run that must
-#      reproduce vini_profile's report byte for byte (two independent
-#      drivers of the same seeded scenario).  PROFILE_report.json is a
-#      CI artifact
 #   5g. perf-trajectory gate: a fresh full-fidelity bench_engine run is
 #      compared against the heap rows of the checked-in
 #      BENCH_engine.json; events/s more than 15% below baseline fails.
@@ -137,7 +132,8 @@ done
 # --- 5d. Engine throughput bench smoke ---------------------------------------
 # bench_engine saturates the Abilene mirror with iperf traffic under the
 # classic and sharded engines and exits nonzero if the sharded thread
-# counts disagree on events executed or packets simulated.
+# counts disagree on events executed or packets simulated, or if the
+# 1-thread run's critical path is not its event count.
 stage "bench_engine smoke (VINI_SMOKE=1)"
 (cd build-check && VINI_SMOKE=1 ./bench/bench_engine --out BENCH_engine.json)
 
@@ -157,26 +153,6 @@ diff build-check/migration-run-1.txt build-check/migration-run-2.txt || {
 }
 diff build-check/MIGRATION_report.json build-check/migration-run-2.json || {
   echo "vini_chaos --migrate: seed 1 migration JSON is not bit-reproducible"
-  exit 1
-}
-
-# --- 5f. Parallelism-ceiling profiler gate -----------------------------------
-# The profiler's report must be a pure function of the seed: two runs
-# byte-diff, and the same scenario driven through bench_engine --profile
-# must produce the same bytes again.  PROFILE_report.json is the CI
-# artifact consumed by shard-count planning.
-stage "vini_profile (self-test + double-run diff + bench_engine --profile diff)"
-./build-check/tools/vini_profile --self-test
-(cd build-check && VINI_SMOKE=1 ./tools/vini_profile run --seed 4711 \
-  --out PROFILE_report.json > /dev/null)
-(cd build-check && VINI_SMOKE=1 ./tools/vini_profile run --seed 4711 \
-  --out profile-run-2.json > /dev/null)
-diff build-check/PROFILE_report.json build-check/profile-run-2.json || {
-  echo "vini_profile: seed 4711 report is not bit-reproducible"; exit 1; }
-(cd build-check && VINI_SMOKE=1 ./bench/bench_engine \
-  --out bench-profile.json --profile profile-bench.json > /dev/null)
-diff build-check/PROFILE_report.json build-check/profile-bench.json || {
-  echo "vini_profile vs bench_engine --profile: same seed, different report"
   exit 1
 }
 

@@ -667,10 +667,10 @@ void ruleV207(const std::string& path, const Lexed& lx,
 
 // V208: unknown event-schedule tag.  EventQueue::schedule/scheduleAfter
 // accept a static tag string that attributes the event to a subsystem for
-// the event-loop profiler and the parallelism profiler; downstream
-// tooling (vini_profile, PROFILE_report.json consumers, dashboards) keys
-// on the documented vocabulary, so a typo'd or ad-hoc tag silently
-// vanishes from every per-subsystem breakdown.  The vocabulary lives in
+// the event-loop profiler; downstream tooling (simbench's per-layer
+// report, EventLoopProfiler CSV consumers) keys on the documented
+// vocabulary, so a typo'd or ad-hoc tag silently vanishes from every
+// per-subsystem breakdown.  The vocabulary lives in
 // the README ("Schedule tag vocabulary"); "test" and "bench" are
 // reserved for tests, tools, and benches.
 //
@@ -790,7 +790,7 @@ void ruleV208(const std::string& path, const std::string& text,
                "unknown schedule tag \"" + tag +
                    "\" — not in the documented vocabulary (README "
                    "\"Schedule tag vocabulary\"); profiler breakdowns "
-                   "and PROFILE_report.json consumers key on known tags");
+                   "and simbench's per-layer report key on known tags");
         }
         break;
       }

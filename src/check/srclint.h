@@ -47,8 +47,8 @@
 //         (src/core/thread_annotations.h)
 //   V208  EventQueue::schedule/scheduleAfter called with a tag string
 //         outside the documented vocabulary (README "Schedule tag
-//         vocabulary") — profiler breakdowns and PROFILE_report.json
-//         consumers key on known tags, so a typo'd tag silently vanishes
+//         vocabulary") — profiler breakdowns and simbench's per-layer
+//         report key on known tags, so a typo'd tag silently vanishes
 //         from every per-subsystem view
 //
 // Accepted findings live in a checked-in baseline

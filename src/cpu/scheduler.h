@@ -152,7 +152,7 @@ class Process {
   ProcessConfig config_;
   /// Timeline track for this process's scheduling events.
   std::string timeline_track_;
-  /// Node attribution for scheduled slices (shard-readiness telemetry).
+  /// Node attribution for scheduled slices (their sharded-engine lane).
   sim::NodeTag node_tag_ = sim::kNoNode;
   sim::FifoRing<Job> jobs_;
   bool running_ = false;

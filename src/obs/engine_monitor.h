@@ -67,8 +67,8 @@ class EngineMonitor {
   /// Mirror the queue's counters into the registry.
   void refresh() VINI_REQUIRES(shard_);
 
-  // Rides the queue's advance hook, so it executes on the shard that
-  // owns the attached queue (one monitor per shard in the sharded plan).
+  // Rides the queue's advance hook, which the sharded engine calls only
+  // on the main thread, between windows.
   core::ShardToken shard_;
   sim::EventQueue* queue_ VINI_PT_GUARDED_BY(shard_) = nullptr;
   MetricsRegistry* registry_ VINI_PT_GUARDED_BY(shard_) = nullptr;

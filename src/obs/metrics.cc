@@ -22,7 +22,7 @@ Histogram::Histogram(std::vector<double> upper_bounds)
 
 Histogram::Histogram(const Histogram& other) : bounds_(other.bounds_) {
   // atomics are not copyable; snapshot element-wise (registry copies
-  // happen at registration/merge time, never concurrently with writes).
+  // happen at registration time, never concurrently with writes).
   buckets_ = std::vector<std::atomic<std::uint64_t>>(other.buckets_.size());
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     buckets_[i].store(other.bucketValue(i), std::memory_order_relaxed);
@@ -76,22 +76,6 @@ double Histogram::quantile(double q) const {
   return bounds_.back();
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (bounds_ != other.bounds_) {
-    throw std::logic_error(
-        "obs: histogram merge with mismatched bucket bounds");
-  }
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i].fetch_add(other.bucketValue(i), std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  const double delta = other.sum();
-  while (!sum_.compare_exchange_weak(cur, cur + delta,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
 namespace {
 
 MetricType typeOf(const std::variant<Counter, Gauge, Histogram>& m) {
@@ -100,88 +84,21 @@ MetricType typeOf(const std::variant<Counter, Gauge, Histogram>& m) {
   return MetricType::kHistogram;
 }
 
-/// FNV-1a over the node name: the deterministic fallback router for
-/// keys whose node field is not a listed physical node.  Stable across
-/// runs, platforms, and registration order by construction.
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-constexpr std::size_t kUncheckedPartition = static_cast<std::size_t>(-1);
-
 }  // namespace
 
-void MetricsRegistry::partitionByNode(
-    const std::vector<std::vector<std::string>>& groups) {
-  shard_.assertHeld();
-  if (parts_.size() != 1) {
-    throw std::logic_error("obs: registry already partitioned");
-  }
-  if (!parts_[0].empty()) {
-    throw std::logic_error(
-        "obs: partitionByNode() after metrics were registered");
-  }
-  if (groups.empty()) {
-    throw std::logic_error("obs: partitionByNode() with no groups");
-  }
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (const std::string& node : groups[g]) {
-      if (!node_part_.emplace(node, g).second) {
-        throw std::logic_error("obs: node " + node +
-                               " assigned to two partitions");
-      }
-    }
-  }
-  parts_.resize(groups.size());
-}
-
-std::size_t MetricsRegistry::partitionOf(const std::string& node) const {
-  shard_.assertHeld();
-  if (parts_.size() == 1) return 0;
-  const auto it = node_part_.find(node);
-  if (it != node_part_.end()) return it->second;
-  return static_cast<std::size_t>(fnv1a(node) % parts_.size());
-}
-
-ScopedRegistry MetricsRegistry::scoped(const std::string& node) {
-  shard_.assertHeld();
-  return ScopedRegistry(*this, partitionOf(node));
-}
-
 template <typename T>
-T& MetricsRegistry::registerScoped(std::size_t claimed_part,
-                                   const std::string& component,
-                                   const std::string& node,
-                                   const std::string& name, T initial) {
+T& MetricsRegistry::registerAs(const std::string& component,
+                               const std::string& node,
+                               const std::string& name, T initial) {
   shard_.assertHeld();
   MetricKey key{component, node, name};
-  const std::size_t part = partitionOf(node);
-  if (claimed_part != kUncheckedPartition && claimed_part != part) {
-    throw std::logic_error(
-        "obs: metric " + key.str() + " registered through partition " +
-        std::to_string(claimed_part) + " scope but routes to partition " +
-        std::to_string(part));
-  }
-  auto [it, inserted] = parts_[part].try_emplace(key, std::move(initial));
+  auto [it, inserted] = metrics_.try_emplace(key, std::move(initial));
   if (!inserted && !std::holds_alternative<T>(it->second)) {
     throw std::logic_error("obs: metric " + key.str() +
                            " re-registered with different type (was " +
                            metricTypeName(typeOf(it->second)) + ")");
   }
   return std::get<T>(it->second);
-}
-
-template <typename T>
-T& MetricsRegistry::registerAs(const std::string& component,
-                               const std::string& node,
-                               const std::string& name, T initial) {
-  return registerScoped(kUncheckedPartition, component, node, name,
-                        std::move(initial));
 }
 
 Counter& MetricsRegistry::counter(const std::string& component,
@@ -207,33 +124,12 @@ Histogram& MetricsRegistry::histogram(const std::string& component,
                     Histogram{std::move(upper_bounds)});
 }
 
-Counter& ScopedRegistry::counter(const std::string& component,
-                                 const std::string& node,
-                                 const std::string& name) {
-  return parent_->registerScoped(part_, component, node, name, Counter{});
-}
-
-Gauge& ScopedRegistry::gauge(const std::string& component,
-                             const std::string& node,
-                             const std::string& name) {
-  return parent_->registerScoped(part_, component, node, name, Gauge{});
-}
-
-Histogram& ScopedRegistry::histogram(const std::string& component,
-                                     const std::string& node,
-                                     const std::string& name,
-                                     std::vector<double> upper_bounds) {
-  return parent_->registerScoped(part_, component, node, name,
-                                 Histogram{std::move(upper_bounds)});
-}
-
 const MetricsRegistry::Metric* MetricsRegistry::find(
     const std::string& component, const std::string& node,
     const std::string& name) const {
   shard_.assertHeld();
-  const Partition& part = parts_[partitionOf(node)];
-  const auto it = part.find(MetricKey{component, node, name});
-  return it == part.end() ? nullptr : &it->second;
+  const auto it = metrics_.find(MetricKey{component, node, name});
+  return it == metrics_.end() ? nullptr : &it->second;
 }
 
 const Counter* MetricsRegistry::findCounter(const std::string& component,
@@ -272,55 +168,28 @@ std::uint64_t MetricsRegistry::sumCounters(const std::string& component,
                                            const std::string& name) const {
   shard_.assertHeld();
   std::uint64_t total = 0;
-  for (const Partition& part : parts_) {
-    for (const auto& [key, metric] : part) {
-      if (key.component != component || key.name != name) continue;
-      if (const Counter* c = std::get_if<Counter>(&metric)) total += c->value();
-    }
+  for (const auto& [key, metric] : metrics_) {
+    if (key.component != component || key.name != name) continue;
+    if (const Counter* c = std::get_if<Counter>(&metric)) total += c->value();
   }
   return total;
 }
 
 std::size_t MetricsRegistry::size() const {
   shard_.assertHeld();
-  std::size_t n = 0;
-  for (const Partition& part : parts_) n += part.size();
-  return n;
-}
-
-void MetricsRegistry::visitSorted(
-    const std::function<void(const MetricKey&, const Metric&)>& visit) const {
-  // k-way merge over the per-partition sorted maps.  Keys are disjoint
-  // across partitions (routing is a pure function of the key), so the
-  // merged walk is exactly the monolithic map's iteration order.
-  std::vector<Partition::const_iterator> heads;
-  heads.reserve(parts_.size());
-  for (const Partition& part : parts_) heads.push_back(part.begin());
-  for (;;) {
-    std::size_t best = parts_.size();
-    for (std::size_t i = 0; i < parts_.size(); ++i) {
-      if (heads[i] == parts_[i].end()) continue;
-      if (best == parts_.size() || heads[i]->first < heads[best]->first) {
-        best = i;
-      }
-    }
-    if (best == parts_.size()) return;
-    visit(heads[best]->first, heads[best]->second);
-    ++heads[best];
-  }
+  return metrics_.size();
 }
 
 void MetricsRegistry::forEach(
     const std::function<void(const MetricKey&, MetricType)>& visit) const {
   shard_.assertHeld();
-  visitSorted(
-      [&](const MetricKey& key, const Metric& m) { visit(key, typeOf(m)); });
+  for (const auto& [key, metric] : metrics_) visit(key, typeOf(metric));
 }
 
 void MetricsRegistry::writeCsv(std::ostream& os) const {
   shard_.assertHeld();
   os << "component,node,name,type,value\n";
-  visitSorted([&](const MetricKey& key, const Metric& metric) {
+  for (const auto& [key, metric] : metrics_) {
     if (const Counter* c = std::get_if<Counter>(&metric)) {
       os << key.component << "," << key.node << "," << key.name << ",counter,"
          << c->value() << "\n";
@@ -347,34 +216,6 @@ void MetricsRegistry::writeCsv(std::ostream& os) const {
           os << "_overflow";
         }
         os << "," << h->bucketValue(i) << "\n";
-      }
-    }
-  });
-}
-
-void mergeRegistries(const std::vector<const MetricsRegistry*>& from,
-                     MetricsRegistry& into) {
-  into.shard_.assertHeld();
-  for (const MetricsRegistry* src : from) {
-    if (src == nullptr || src == &into) continue;
-    src->shard_.assertHeld();
-    for (const MetricsRegistry::Partition& part : src->parts_) {
-      for (const auto& [key, metric] : part) {
-        MetricsRegistry::Partition& dst =
-            into.parts_[into.partitionOf(key.node)];
-        auto [it, inserted] = dst.try_emplace(key, metric);
-        if (inserted) continue;
-        if (it->second.index() != metric.index()) {
-          throw std::logic_error("obs: merge of metric " + key.str() +
-                                 " with conflicting types");
-        }
-        if (auto* c = std::get_if<Counter>(&it->second)) {
-          c->merge(std::get<Counter>(metric));
-        } else if (auto* g = std::get_if<Gauge>(&it->second)) {
-          g->merge(std::get<Gauge>(metric));
-        } else {
-          std::get<Histogram>(it->second).merge(std::get<Histogram>(metric));
-        }
       }
     }
   }

@@ -9,8 +9,9 @@
 //
 // The obs layer is strictly passive: it never schedules events, never
 // consumes randomness, and never mutates simulation state, so enabling
-// it cannot change a run's results.  The sim is single-threaded, so a
-// plain global current() pointer suffices.
+// it cannot change a run's results.  current() is a plain global: it is
+// installed before a run starts, and the sharded engine's worker lanes
+// only read it.
 #pragma once
 
 #include "obs/metrics.h"
@@ -37,17 +38,6 @@ struct Obs {
   explicit Obs(std::size_t trace_capacity = PacketTracer::kDefaultCapacity)
       : tracer(trace_capacity) {
     sampler.bindRegistry(&metrics);
-  }
-
-  /// Partition the whole obs plane by physical node groups (shard
-  /// readiness): metrics registry and packet tracer both split their
-  /// storage along the same node grouping, and every export k-way
-  /// merges back to bytes identical to the monolithic layout.  Call
-  /// before any component registers metrics or records traces — i.e.
-  /// right after installing the ScopedObs, before building the world.
-  void partitionByNode(const std::vector<std::vector<std::string>>& groups) {
-    metrics.partitionByNode(groups);
-    tracer.partitionByNode(groups);
   }
 
   /// Arm the obs plane for the sharded (multi-threaded) engine with

@@ -229,35 +229,6 @@ void MetricSampler::clear() {
   for (auto& w : watch_state_) w = Watch{};
 }
 
-void mergeSamplers(const std::vector<const MetricSampler*>& from,
-                   MetricSampler& into) {
-  into.shard_.assertHeld();
-  for (MetricSampler::Series& dst : into.series_) {
-    for (const MetricSampler* src : from) {
-      if (src == nullptr || src == &into) continue;
-      src->shard_.assertHeld();
-      for (const MetricSampler::Series& s : src->series_) {
-        if (s.key != dst.key || s.mode != dst.mode) continue;
-        // Merge by timestamp; existing points win ties so the merge is
-        // stable in source order.
-        std::vector<MetricSampler::Point> merged;
-        merged.reserve(dst.points.size() + s.points.size());
-        std::size_t i = 0;
-        std::size_t j = 0;
-        while (i < dst.points.size() || j < s.points.size()) {
-          if (j == s.points.size() ||
-              (i < dst.points.size() && dst.points[i].t <= s.points[j].t)) {
-            merged.push_back(dst.points[i++]);
-          } else {
-            merged.push_back(s.points[j++]);
-          }
-        }
-        dst.points = std::move(merged);
-      }
-    }
-  }
-}
-
 // -- Chrome trace-event export ----------------------------------------------
 
 namespace {

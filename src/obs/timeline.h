@@ -96,8 +96,6 @@ class Timeline {
                       std::unordered_map<std::string, std::int16_t>& index,
                       const std::string& name);
 
-  // Sharded plan: shard-local timelines, events merged by (t, seq) at
-  // export; the intern tables stay shard-owned to keep record() cheap.
   core::ShardToken shard_;
   std::size_t capacity_;
   std::uint64_t events_lost_ VINI_GUARDED_BY(shard_) = 0;
@@ -107,7 +105,6 @@ class Timeline {
       VINI_GUARDED_BY(shard_);
   std::unordered_map<std::string, std::int16_t> label_index_
       VINI_GUARDED_BY(shard_);
-  // cross-shard: merged across shard-local timelines at export time.
   std::vector<TimelineEvent> events_ VINI_GUARDED_BY(shard_);
   /// One buffered lane event (strings kept: interning happens at the
   /// fold so table ids stay independent of worker interleaving).
@@ -198,8 +195,6 @@ class MetricSampler {
   void clear();
 
  private:
-  friend void mergeSamplers(const std::vector<const MetricSampler*>& from,
-                            MetricSampler& into);
   struct Watch {
     std::uint64_t last_counter = 0;
     std::uint64_t last_gauge_version = 0;
@@ -211,7 +206,6 @@ class MetricSampler {
   // The sampler rides the queue's advance hook, so it executes on the
   // shard that owns the attached queue.
   core::ShardToken shard_;
-  // cross-shard: will read merged shard-local registries at sample points.
   const MetricsRegistry* registry_ VINI_PT_GUARDED_BY(shard_) = nullptr;
   sim::EventQueue* attached_queue_ VINI_PT_GUARDED_BY(shard_) = nullptr;
   sim::Duration period_ VINI_GUARDED_BY(shard_) = 0;
@@ -219,16 +213,6 @@ class MetricSampler {
   std::vector<Series> series_ VINI_GUARDED_BY(shard_);
   std::vector<Watch> watch_state_ VINI_GUARDED_BY(shard_);
 };
-
-/// Fold several samplers (one per shard) into `into`: each of `into`'s
-/// watched series gains the points of every source series with the same
-/// (key, mode), merged by timestamp (stable — source order breaks
-/// ties).  In the sharded plan each key is sampled by exactly the shard
-/// owning its metric, so the merged sampler's CSV is byte-identical to
-/// a monolithic sampler watching the same keys — the partition fuzz
-/// test enforces this.  Sources must not be `into` itself.
-void mergeSamplers(const std::vector<const MetricSampler*>& from,
-                   MetricSampler& into);
 
 // ---------------------------------------------------------------------------
 // Export: one Chrome trace-event JSON (Perfetto / about:tracing loadable)

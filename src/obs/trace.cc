@@ -33,7 +33,7 @@ const char* traceEventName(TraceEvent ev) {
 }
 
 PacketTracer::PacketTracer(std::size_t capacity)
-    : capacity_(capacity ? capacity : 1), rings_(1) {}
+    : capacity_(capacity ? capacity : 1) {}
 
 namespace {
 
@@ -54,50 +54,9 @@ const std::string& lookup(const std::vector<std::string>& table,
 
 }  // namespace
 
-void PacketTracer::partitionByNode(
-    const std::vector<std::vector<std::string>>& groups) {
-  shard_.assertHeld();
-  if (rings_.size() != 1) {
-    throw std::logic_error("obs: tracer already partitioned");
-  }
-  if (total_ != 0) {
-    throw std::logic_error(
-        "obs: tracer partitionByNode() after records were recorded");
-  }
-  if (groups.empty()) {
-    throw std::logic_error("obs: tracer partitionByNode() with no groups");
-  }
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (const std::string& node : groups[g]) {
-      if (!node_group_.emplace(node, g).second) {
-        throw std::logic_error("obs: tracer node " + node +
-                               " assigned to two partitions");
-      }
-    }
-  }
-  rings_.resize(groups.size());
-  // Nodes interned before the split re-route to their group.
-  for (std::size_t i = 0; i < node_names_.size(); ++i) {
-    const auto it = node_group_.find(node_names_[i]);
-    node_parts_[i] = it == node_group_.end() ? 0 : it->second;
-  }
-}
-
-std::size_t PacketTracer::ringOf(std::int16_t node) const {
-  if (node < 0 || static_cast<std::size_t>(node) >= node_parts_.size()) {
-    return 0;
-  }
-  return node_parts_[static_cast<std::size_t>(node)];
-}
-
 std::int16_t PacketTracer::internNode(const std::string& name) {
   shard_.assertHeld();
-  const std::int16_t id = intern(node_names_, name);
-  if (static_cast<std::size_t>(id) == node_parts_.size()) {
-    const auto it = node_group_.find(name);
-    node_parts_.push_back(it == node_group_.end() ? 0 : it->second);
-  }
-  return id;
+  return intern(node_names_, name);
 }
 
 std::int16_t PacketTracer::internLink(const std::string& name) {
@@ -124,16 +83,11 @@ void PacketTracer::record(const TraceRecord& rec) {
     }
   }
   shard_.assertHeld();
-  Ring& ring = rings_[ringOf(rec.node)];
-  const std::size_t pos = static_cast<std::size_t>(ring.total % capacity_);
-  if (ring.records.size() < capacity_) {
-    ring.records.push_back(rec);
-    ring.stamps.push_back(total_);
+  if (records_.size() < capacity_) {
+    records_.push_back(rec);
   } else {
-    ring.records[pos] = rec;
-    ring.stamps[pos] = total_;
+    records_[static_cast<std::size_t>(total_ % capacity_)] = rec;
   }
-  ++ring.total;
   ++total_;
   ++kind_totals_[static_cast<std::size_t>(rec.event)];
 }
@@ -180,69 +134,22 @@ void PacketTracer::foldShardLanes() {
   for (auto& buf : lane_records_) buf.clear();
 }
 
-std::size_t PacketTracer::size() const {
-  shard_.assertHeld();
-  std::size_t n = 0;
-  for (const Ring& ring : rings_) n += ring.records.size();
-  return n;
-}
-
-bool PacketTracer::wrapped() const {
-  shard_.assertHeld();
-  for (const Ring& ring : rings_) {
-    if (ring.total > capacity_) return true;
-  }
-  return false;
-}
-
 std::vector<TraceRecord> PacketTracer::snapshot() const {
   shard_.assertHeld();
-  // Per-ring survivors in recording order (oldest surviving first),
-  // then a k-way merge by global stamp restores the tracer-wide
-  // recording order — byte-for-byte what the monolithic ring would
-  // hold, as long as no ring wrapped.
-  struct Cursor {
-    const Ring* ring;
-    std::size_t start;  // position of the oldest surviving record
-    std::size_t i = 0;  // survivors consumed
-    std::size_t n;      // survivors held
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(rings_.size());
-  for (const Ring& ring : rings_) {
-    const std::size_t held = ring.records.size();
-    const std::size_t start =
-        ring.total > held ? static_cast<std::size_t>(ring.total % capacity_)
-                          : 0;
-    cursors.push_back(Cursor{&ring, start, 0, held});
-  }
+  // Oldest surviving record first: once the ring has wrapped it sits
+  // at the next write position.
+  const std::size_t n = records_.size();
+  const std::size_t start =
+      total_ > n ? static_cast<std::size_t>(total_ % capacity_) : 0;
   std::vector<TraceRecord> out;
-  out.reserve(size());
-  for (;;) {
-    Cursor* best = nullptr;
-    std::uint64_t best_stamp = 0;
-    for (Cursor& c : cursors) {
-      if (c.i == c.n) continue;
-      const std::uint64_t stamp = c.ring->stamps[(c.start + c.i) % c.n];
-      if (best == nullptr || stamp < best_stamp) {
-        best = &c;
-        best_stamp = stamp;
-      }
-    }
-    if (best == nullptr) break;
-    out.push_back(best->ring->records[(best->start + best->i) % best->n]);
-    ++best->i;
-  }
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(records_[(start + i) % n]);
   return out;
 }
 
 void PacketTracer::clear() {
   shard_.assertHeld();
-  for (Ring& ring : rings_) {
-    ring.records.clear();
-    ring.stamps.clear();
-    ring.total = 0;
-  }
+  records_.clear();
   total_ = 0;
   kind_totals_.fill(0);
 }

@@ -52,10 +52,11 @@ class Channel {
   /// KansasCity/ab"); when non-empty and an obs context is installed,
   /// the channel registers its counters and emits trace events under it.
   /// `tx_node` / `rx_node` attribute the channel's events to physical
-  /// nodes (sim::EventQueue::internNodeTag) for the shard-readiness
-  /// telemetry: the serialization event belongs to the transmitting
-  /// node, the propagation/delivery event to the receiving node.
-  /// Attribution is passive — runs are byte-identical without it.
+  /// nodes (sim::EventQueue::internNodeTag), which the sharded engine
+  /// runs them on: the serialization event belongs to the transmitting
+  /// node, the propagation/delivery event to the receiving node.  On the
+  /// classic engine attribution is passive — runs are byte-identical
+  /// without it.
   Channel(sim::EventQueue& queue, sim::Random& random, const LinkConfig& config,
           const bool& link_up, std::string label = {},
           sim::NodeTag tx_node = sim::kNoNode,

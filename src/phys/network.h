@@ -71,9 +71,9 @@ class PhysNetwork {
   std::size_t nodeCount() const { return nodes_.size(); }
   std::size_t linkCount() const { return links_.size(); }
   /// Smallest one-way propagation delay over all links — the largest
-  /// conservative lookahead a sharded run of this topology could use,
-  /// and what vini_profile feeds the ParallelismProfiler.  0 when the
-  /// network has no links.
+  /// conservative lookahead a sharded run of this topology can use, and
+  /// what the World passes to EventQueue::finalizeSharding().  0 when
+  /// the network has no links.
   sim::Duration minPropagation() const;
   const std::vector<std::unique_ptr<PhysNode>>& nodes() const { return nodes_; }
   const std::vector<std::unique_ptr<PhysLink>>& links() const { return links_; }

@@ -45,6 +45,11 @@ std::size_t EventQueue::shardLaneCount() const {
   return shard_rt_ ? shard_rt_->laneCount() : 0;
 }
 
+std::uint64_t EventQueue::criticalPathEvents() const {
+  shard_.assertHeld();
+  return shard_rt_ ? shard_rt_->criticalPathEvents() : executed_;
+}
+
 std::uint32_t EventQueue::allocSlot() {
   if (free_slots_.empty()) {
     // The id encoding caps the slab at 2^24 concurrent events; a
@@ -69,9 +74,7 @@ void EventQueue::releaseSlot(std::uint32_t slot) {
     if (shard_rt_) shard_rt_->dropAlias(slots_[slot].alias);
     slots_[slot].alias = 0;
   }
-  slots_[slot].sched_at = 0;
   slots_[slot].node = kNoNode;
-  slots_[slot].sched_from = kNoNode;
   free_slots_.push_back(slot);
 }
 
@@ -148,9 +151,7 @@ EventId EventQueue::schedule(Time when, const char* tag, NodeTag node,
   slots_[slot].cb = std::move(cb);
   slots_[slot].tag = tag;
   slots_[slot].id = id;
-  slots_[slot].sched_at = now_;
   slots_[slot].node = node;
-  slots_[slot].sched_from = exec_node_;
   const Key key = Key::make(when, id);
   if (fired_at_root_) {
     // Replace-top: the fired key still at the root gives way to this
@@ -346,9 +347,7 @@ void EventQueue::fire(Key key) {
   // schedule events, growing slots_ and invalidating slab references.
   Callback cb = std::move(slots_[slot].cb);
   const char* tag = slots_[slot].tag;
-  const Time sched_at = slots_[slot].sched_at;
   const NodeTag node = slots_[slot].node;
-  const NodeTag sched_from = slots_[slot].sched_from;
   releaseSlot(slot);
   --live_;
   // V100: simulation time is monotonic — schedule() clamps to now(),
@@ -368,7 +367,6 @@ void EventQueue::fire(Key key) {
   } else {
     ++executed_unattributed_;
   }
-  if (introspect_) introspect_(ExecEvent{when, sched_at, node, sched_from});
   // Events the handler schedules are attributed as scheduled-from this
   // event's node; reset afterwards (step() does not nest).
   exec_node_ = node;

@@ -54,8 +54,8 @@ class ShardRuntime;
 /// increasing in scheduling order; 0 is never a valid handle.
 using EventId = std::uint64_t;
 
-/// Small interned id for the physical node an event belongs to —
-/// the would-be worker shard key of the parallel engine.  Components
+/// Small interned id for the physical node an event belongs to — the
+/// lane that executes the event under the sharded engine.  Components
 /// intern their node name once (internNodeTag) and pass the tag on the
 /// node-attributed schedule overloads; kNoNode marks events with no
 /// single owning node (global timers, topology-wide reroutes).
@@ -110,10 +110,10 @@ class EventQueue {
   }
 
   /// As above, additionally attributing the event to a physical node
-  /// (from internNodeTag).  Attribution is passive bookkeeping for the
-  /// shard-readiness telemetry: per-node executed counts, the
-  /// cross-node scheduling ratio, and the parallelism profiler all key
-  /// off it, and a run is byte-identical with or without it.
+  /// (from internNodeTag).  The sharded engine runs the event on that
+  /// node's lane; both engines count it in the per-node executed counts
+  /// and the cross-node scheduling ratio.  On the classic engine the
+  /// attribution is passive: a run is byte-identical with or without it.
   EventId schedule(Time when, const char* tag, NodeTag node, Callback cb);
 
   /// Schedule `cb` to run `delay` after the current time.  Routed
@@ -166,6 +166,16 @@ class EventQueue {
   int shardThreads() const { return shard_threads_; }
   std::size_t shardLaneCount() const;
 
+  /// Events on the run's critical path, a measured speedup ceiling:
+  /// executedCount() / criticalPathEvents() is the most the threads
+  /// could gain on this event schedule.  Each sharded round adds
+  /// max(its heaviest lane's events, ceil(its events / k)), where k is
+  /// the number of threads that ran the round's lanes; each serial
+  /// (kNoNode) step adds 1.  Counted from finalizeSharding() on; the
+  /// classic engine runs every event serially, so there it is
+  /// executedCount().
+  std::uint64_t criticalPathEvents() const;
+
   /// Lane the calling thread is currently executing (any queue), or -1
   /// outside sharded lane execution.  The observability layer routes
   /// per-lane recording off this.
@@ -215,7 +225,7 @@ class EventQueue {
     return free_slots_.size();
   }
 
-  // -- Per-node event attribution (shard-readiness telemetry) ---------------
+  // -- Per-node event attribution ---------------------------------------------
 
   /// Intern a physical node name, returning the tag the node-attributed
   /// schedule overloads take.  Re-interning the same name returns the
@@ -265,25 +275,6 @@ class EventQueue {
   void setProfiler(ProfileHook hook) {
     shard_.assertHeld();
     profiler_ = std::move(hook);
-  }
-
-  /// One executed event, as seen by the introspection hook: its
-  /// execution time, the time it was scheduled at, and the node
-  /// attribution of the event and of the handler that scheduled it.
-  struct ExecEvent {
-    Time when = 0;
-    Time sched_at = 0;
-    NodeTag node = kNoNode;
-    NodeTag sched_from = kNoNode;
-  };
-  /// Introspection hook: called for every executed event, before its
-  /// callback runs (the parallelism profiler is the intended client).
-  /// Passive — it must not schedule or cancel; pass nullptr to
-  /// uninstall.
-  using IntrospectHook = std::function<void(const ExecEvent&)>;
-  void setIntrospector(IntrospectHook hook) {
-    shard_.assertHeld();
-    introspect_ = std::move(hook);
   }
 
   /// Time-advance observation hook: called whenever now() is about to
@@ -345,10 +336,9 @@ class EventQueue {
   static constexpr std::size_t kHeapPad = 3;
 
   /// Slab record: the callback (captures inline up to 64 bytes), the
-  /// profiler tag, the node attribution (owning node, scheduling node,
-  /// scheduling time — the parallelism profiler's raw material), and
-  /// the full id currently occupying the slot (0 when free — the
-  /// generation check).  Slots are recycled through free_slots_.
+  /// profiler tag, the owning node, and the full id currently occupying
+  /// the slot (0 when free — the generation check).  Slots are recycled
+  /// through free_slots_.
   struct Slot {
     Callback cb;
     const char* tag = nullptr;
@@ -357,9 +347,7 @@ class EventQueue {
     /// scheduled under (0 otherwise) — releasing the slot erases the
     /// staged-id mapping so the translation table stays bounded.
     EventId alias = 0;
-    Time sched_at = 0;
     NodeTag node = kNoNode;
-    NodeTag sched_from = kNoNode;
   };
 
   std::uint32_t allocSlot() VINI_REQUIRES(shard_);
@@ -398,10 +386,10 @@ class EventQueue {
   /// outnumber live keys (dead_keys_ > storage/2).
   void maybeCompact() VINI_REQUIRES(shard_);
 
-  // The queue is the unit the sharded engine distributes: one queue per
-  // worker shard, owned exclusively by it.  Everything below is
-  // shard-owned; cross-shard event handoff will go through an explicit
-  // mailbox, never by touching another shard's members.
+  // Everything below belongs to the main thread.  Sharded worker lanes
+  // never write it inside a window: they reach the queue through the
+  // worker-context trampolines below, only read the frozen slab (cancel
+  // liveness checks), and stage every mutation for the barrier.
   core::ShardToken shard_;
   // cross-shard: read by every layer via now(); sampled by observers.
   Time now_ VINI_GUARDED_BY(shard_) = 0;
@@ -424,7 +412,7 @@ class EventQueue {
   std::vector<std::uint32_t> free_slots_ VINI_GUARDED_BY(shard_);
 
   // 4-ary heap: keys in [0, heapSize()), then kHeapPad sentinels.
-  // cross-shard: remote schedule() calls will land here via the mailbox.
+  // cross-shard: lane-staged schedules land here at the barrier.
   std::vector<Key> heap_ VINI_GUARDED_BY(shard_) =
       std::vector<Key>(kHeapPad, kSentinel);
   /// Set while the root holds the key of the event step() is firing:
@@ -434,13 +422,12 @@ class EventQueue {
 
   ProfileHook profiler_ VINI_GUARDED_BY(shard_);
   AdvanceHook advance_ VINI_GUARDED_BY(shard_);
-  IntrospectHook introspect_ VINI_GUARDED_BY(shard_);
 
   // Per-node attribution state.  All passive counters: they never feed
   // back into event order, so a run is byte-identical with or without
   // node-attributed schedules.
   /// Interned node names; a NodeTag indexes this table.
-  // cross-shard: the tag table is global so merged telemetry agrees on ids.
+  // cross-shard: one table for every lane; a tag is its lane's index.
   std::vector<std::string> node_tag_names_ VINI_GUARDED_BY(shard_);
   /// Events executed per node tag (same indexing as node_tag_names_).
   std::vector<std::uint64_t> node_executed_ VINI_GUARDED_BY(shard_);

@@ -32,8 +32,6 @@ namespace {
 constexpr Time kMaxTime = std::numeric_limits<Time>::max();
 }  // namespace
 
-int currentShardLane() { return EventQueue::currentShardLane(); }
-
 ShardRuntime::ShardRuntime(EventQueue& queue, int threads)
     : queue_(queue), threads_(threads < 1 ? 1 : threads) {}
 
@@ -114,6 +112,7 @@ void ShardRuntime::roundAt(Time anchor, Time deadline) {
     if (node == kNoNode || node >= lanes_.size()) {
       if (extracted == 0) {
         q.step();  // a lone serial event; the next round re-anchors
+        ++critical_path_events_;
         return;
       }
       horizon = top->when();  // the serial event bounds this window
@@ -128,7 +127,7 @@ void ShardRuntime::roundAt(Time anchor, Time deadline) {
     }
     EventQueue::Slot& s = q.slots_[slot];
     lane.run.push_back(RunEntry{std::move(s.cb), s.tag, key.when(), key.id(),
-                                s.sched_at, s.sched_from, false});
+                                false});
     q.releaseSlot(slot);
     --q.live_;
     ++extracted;
@@ -137,21 +136,21 @@ void ShardRuntime::roundAt(Time anchor, Time deadline) {
 
   window_end_ = horizon;
   ++rounds_;
-  dispatchLanes();
-  applyBarrier();
+  applyBarrier(dispatchLanes());
 }
 
-void ShardRuntime::dispatchLanes() {
+std::size_t ShardRuntime::dispatchLanes() {
   queue_.shard_.assertHeld();
-  const bool hooks = static_cast<bool>(queue_.profiler_) ||
-                     static_cast<bool>(queue_.introspect_);
+  const bool hooks = static_cast<bool>(queue_.profiler_);
   core::beginShardParallelPhase();
+  std::size_t lane_threads = 1;
   if (threads_ <= 1 || hooks || active_.size() <= 1) {
     // Serial lane execution — canonically equivalent, because lanes
-    // are independent within a window, and required when profiling or
-    // introspection hooks (which are not thread-safe) are installed.
+    // are independent within a window, and required when the profiling
+    // hook (which is not thread-safe) is installed.
     for (Lane* lane : active_) execLane(*lane, hooks);
   } else {
+    lane_threads = static_cast<std::size_t>(threads_);
     const std::size_t count = active_.size();
     std::uint64_t round = 0;
     {
@@ -172,6 +171,7 @@ void ShardRuntime::dispatchLanes() {
     cv_done_.wait(lk, [&] { return done_ == count; });
   }
   core::endShardParallelPhase();
+  return lane_threads;
 }
 
 bool ShardRuntime::claimSlot(std::uint64_t round, std::size_t count,
@@ -249,8 +249,6 @@ void ShardRuntime::execLane(Lane& lane, bool run_hooks) {
     EventQueue::Callback cb;
     const char* tag = nullptr;
     Time when = 0;
-    Time sched_at = 0;
-    NodeTag sched_from = kNoNode;
     if (use_local) {
       std::pop_heap(lane.lheap.begin(), lane.lheap.end(), localKeyAfter);
       const LocalKey lk = lane.lheap.back();
@@ -263,8 +261,6 @@ void ShardRuntime::execLane(Lane& lane, bool run_hooks) {
       cb = std::move(ev.cb);
       tag = ev.tag;
       when = lk.when;
-      sched_at = ev.sched_at;
-      sched_from = ev.sched_from;
       ev.cb.reset();
       ev.live = false;
       lane.lfree.push_back(lk.idx);
@@ -273,18 +269,12 @@ void ShardRuntime::execLane(Lane& lane, bool run_hooks) {
       cb = std::move(e.cb);
       tag = e.tag;
       when = e.when;
-      sched_at = e.sched_at;
-      sched_from = e.sched_from;
     }
     // Lane-local monotonicity (the V100 invariant, deferred: workers
     // never touch the audit sink — the barrier raises it).
     if (when < lane.local_now) lane.monotonic_violation = true;
     lane.local_now = when;
     ++lane.executed;
-    if (run_hooks && queue_.introspect_) {
-      queue_.introspect_(EventQueue::ExecEvent{
-          when, sched_at, static_cast<NodeTag>(lane.index), sched_from});
-    }
     if (run_hooks && queue_.profiler_) {
       const auto start = std::chrono::steady_clock::now();
       cb();
@@ -335,8 +325,6 @@ EventId ShardRuntime::workerSchedule(Lane& lane, Time when, const char* tag,
     ev.cb = std::move(cb);
     ev.tag = tag;
     ev.when = when;
-    ev.sched_at = lane.local_now;
-    ev.sched_from = static_cast<NodeTag>(lane.index);
     ev.seq = lane.local_seq++ & 0x7FFFFFFFu;  // id carries 31 seq bits
     ev.live = true;
     lane.lheap.push_back(LocalKey{when, lane.local_rank++, idx});
@@ -455,7 +443,7 @@ void ShardRuntime::dropAlias(EventId staged_id) {
   staged_id_map_.erase(staged_id);
 }
 
-void ShardRuntime::applyBarrier() {
+void ShardRuntime::applyBarrier(std::size_t lane_threads) {
   queue_.shard_.assertHeld();
   EventQueue& q = queue_;
   // Phase 1: staged schedules, lane-major then issue order — a fixed
@@ -513,9 +501,15 @@ void ShardRuntime::applyBarrier() {
   }
   raiseBarrierAudits();
   // Phase 3: fold per-lane tallies into the queue's telemetry (the
-  // same counters the classic engine keeps inline) and reset.
+  // same counters the classic engine keeps inline) and reset.  The
+  // round's critical path is its heaviest lane, or its events spread
+  // evenly over the threads that ran them if that is longer.
+  std::uint64_t round_events = 0;
+  std::uint64_t heaviest = 0;
   for (Lane* lp : active_) {
     Lane& lane = *lp;
+    round_events += lane.executed;
+    heaviest = std::max(heaviest, lane.executed);
     q.executed_ += lane.executed;
     q.node_executed_[lane.index] += lane.executed;
     q.same_node_scheduled_ += lane.same_sched;
@@ -538,6 +532,8 @@ void ShardRuntime::applyBarrier() {
     lane.local_rank = 0;
     lane.active = false;
   }
+  critical_path_events_ +=
+      std::max(heaviest, (round_events + lane_threads - 1) / lane_threads);
   active_.clear();
 }
 

@@ -2,8 +2,7 @@
 //
 // The ShardRuntime shards a run across worker threads by physical node
 // (one *lane* per interned NodeTag) with conservative lookahead
-// windows, the architecture ROADMAP item 2 sketches and the
-// obs::ParallelismProfiler models:
+// windows:
 //
 //   * Each round anchors a window at T (the earliest pending event) and
 //     closes it at b1 = T + W, where W is the minimum cross-node link
@@ -47,11 +46,6 @@
 
 namespace vini::sim {
 
-/// Lane the calling thread is currently executing for the sharded
-/// engine, or -1 when it is not inside a lane (the observability layer
-/// routes recording to per-lane partitions off this).
-int currentShardLane();
-
 class ShardRuntime {
  public:
   ShardRuntime(EventQueue& queue, int threads);
@@ -76,6 +70,8 @@ class ShardRuntime {
   std::uint64_t lookaheadViolations() const { return lookahead_violations_; }
   std::uint64_t deferredUnattributed() const { return deferred_unattributed_; }
   std::uint64_t crossLaneCancels() const { return cross_lane_cancels_; }
+  /// See EventQueue::criticalPathEvents().
+  std::uint64_t criticalPathEvents() const { return critical_path_events_; }
 
   // -- Sharded id layout ------------------------------------------------------
   //
@@ -103,8 +99,6 @@ class ShardRuntime {
     const char* tag = nullptr;
     Time when = 0;
     EventId id = 0;
-    Time sched_at = 0;
-    NodeTag sched_from = kNoNode;
     bool dead = false;
   };
 
@@ -112,8 +106,6 @@ class ShardRuntime {
     EventQueue::Callback cb;
     const char* tag = nullptr;
     Time when = 0;
-    Time sched_at = 0;
-    NodeTag sched_from = kNoNode;
     std::uint32_t seq = 0;  ///< generation check for window-local ids
     bool live = false;
   };
@@ -183,8 +175,9 @@ class ShardRuntime {
   /// One round at window anchor T: either a single serial (kNoNode)
   /// step or a full extract / parallel-execute / barrier-apply cycle.
   void roundAt(Time T, Time deadline);
-  void dispatchLanes();
-  void applyBarrier();
+  /// Execute the active lanes; returns how many threads ran them.
+  std::size_t dispatchLanes();
+  void applyBarrier(std::size_t lane_threads);
   void raiseBarrierAudits();
 
   // -- Worker-side entry points (reached via EventQueue's dispatch) -----------
@@ -249,6 +242,7 @@ class ShardRuntime {
   std::uint64_t lookahead_violations_ = 0;
   std::uint64_t deferred_unattributed_ = 0;
   std::uint64_t cross_lane_cancels_ = 0;
+  std::uint64_t critical_path_events_ = 0;
 
   // Pool state.  No waits are timed (srclint V203): workers block on
   // the round counter and the main thread blocks on the done counter.

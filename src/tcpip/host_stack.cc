@@ -110,8 +110,8 @@ HostStack::HostStack(phys::PhysNode& node, phys::PhysNetwork& net,
   node_.setPacketHandler(
       [this](packet::Packet p, phys::PhysLink&) { onWirePacket(std::move(p)); });
   kernel_accounting_start_ = queue().now();
-  // Unconditional (not obs-gated): node attribution is engine-level
-  // bookkeeping for the shard-readiness telemetry, and passive either way.
+  // Unconditional (not obs-gated): node attribution picks the lane of
+  // every event this stack schedules under the sharded engine.
   node_tag_ = queue().internNodeTag(node_.name());
   // Sharded queue: fork a per-stack RNG stream at construction (single-
   // threaded, deterministic order) so lane-side draws are independent of

@@ -382,7 +382,7 @@ class HostStack {
   double icmp_error_tokens_ = 100.0;
   sim::Time icmp_error_refill_at_ = 0;
   /// Node attribution for every event this stack schedules (interned at
-  /// construction; shard-readiness telemetry, passive).
+  /// construction; the event's lane under the sharded engine).
   sim::NodeTag node_tag_ = sim::kNoNode;
   /// Engaged only when the queue is sharded: a construction-time fork of
   /// the network RNG, so this stack's latency/spike draws form their own

@@ -2,7 +2,8 @@
 // per-node execution sequence of a workload must be a pure function of
 // the event stream — identical across worker-thread counts, and (for
 // workloads with no barrier-staged timestamp collisions) identical to
-// the classic single-threaded engine.
+// the classic single-threaded engine.  The critical-path counter the
+// engine keeps is checked here too.
 #include <algorithm>
 #include <cstdint>
 #include <random>
@@ -12,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "app/iperf.h"
 #include "sim/event_queue.h"
 #include "sim/time.h"
+#include "topo/worlds.h"
 
 namespace vini::sim {
 namespace {
@@ -229,6 +232,52 @@ TEST(ShardEngine, RunUntilHonorsDeadlineAndAdvance) {
     q.runUntil(2 * kMillisecond);
     EXPECT_EQ(2, fired);
   }
+}
+
+TEST(ShardEngine, SkewedLoadCapsTheCriticalPath) {
+  // Four windows, each with 9 events on a hot node and 1 on a cold one.
+  // Two threads can overlap the cold event with the hot ones but not
+  // split the hot node, so every round costs 9: 36 of 40 events.  One
+  // thread runs all 10.
+  for (const int threads : {1, 2}) {
+    EventQueue q(threads);
+    const NodeTag hot = q.internNodeTag("hot");
+    const NodeTag cold = q.internNodeTag("cold");
+    q.finalizeSharding(kMillisecond);
+    for (int w = 0; w < 4; ++w) {
+      const Time t = w * kMillisecond + kMicrosecond;
+      for (int i = 0; i < 9; ++i) q.schedule(t + i, "test", hot, [] {});
+      q.schedule(t + 100, "test", cold, [] {});
+    }
+    q.run();
+    EXPECT_EQ(40u, q.executedCount()) << "threads=" << threads;
+    EXPECT_EQ(threads == 1 ? 40u : 36u, q.criticalPathEvents())
+        << "threads=" << threads;
+  }
+}
+
+TEST(ShardEngine, CriticalPathIsDeterministic) {
+  auto run = [] {
+    topo::WorldOptions options;
+    options.seed = 97;
+    options.contention = 0.0;
+    options.threads = 4;
+    auto world = topo::makeAbileneWorld(options);
+    EXPECT_TRUE(world->runUntilConverged(180 * kSecond));
+    const Time t0 = world->queue.now();
+    app::IperfUdpServer server(world->stack("Seattle"), 5001);
+    app::IperfUdpClient client(world->stack("Washington"),
+                               world->tapOf("Seattle"), 5001, 30e6, 1430,
+                               world->tapOf("Washington"));
+    client.start(kSecond / 2);
+    world->queue.runUntil(t0 + kSecond / 2);
+    EXPECT_LT(world->queue.criticalPathEvents(),
+              world->queue.executedCount());
+    return world->queue.criticalPathEvents();
+  };
+  const std::uint64_t first = run();
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(first, run());
 }
 
 }  // namespace
